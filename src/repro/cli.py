@@ -481,9 +481,11 @@ def cmd_profile(args) -> int:
             obs.disable()
     from repro.paths.kernel import resolve_engine
 
-    # The path-engine view: which engine resolved, plus its run counters
-    # (relaxations / heap_pushes / stale_pops / bucket_engaged) filtered
-    # out of the merged metric snapshot.  See docs/PERFORMANCE.md.
+    # The path-engine view: which engine resolved ("auto" by default:
+    # batch for bulk fills, kernel for single sources), plus its run
+    # counters (relaxations / heap_pushes / stale_pops / bucket_engaged /
+    # compile_graph_calls) filtered out of the merged metric snapshot.
+    # See docs/PERFORMANCE.md.
     path_counters = {
         name: value
         for name, value in snapshot["metrics"]["counters"].items()
@@ -524,7 +526,9 @@ def cmd_profile(args) -> int:
         "phases": snapshot["spans"],
         "metrics": snapshot["metrics"],
         "path_engine": {
-            "engine": resolve_engine(),
+            "engine": resolve_engine(bulk=True),
+            "compile_graph_calls": path_counters.get(
+                "path_engine.compile_graph_calls", 0),
             "counters": path_counters,
         },
         "batch": {

@@ -57,7 +57,7 @@ def _build_bgp(graph, algebra, attr):
 
 
 def build_scheme(graph, algebra: RoutingAlgebra, mode: str = "auto",
-                 attr: str = WEIGHT_ATTR, rng=None,
+                 attr: str = WEIGHT_ATTR, rng=None, store=None,
                  **kwargs) -> RoutingScheme:
     """Build the routing scheme the paper's theory prescribes for *algebra*.
 
@@ -73,6 +73,16 @@ def build_scheme(graph, algebra: RoutingAlgebra, mode: str = "auto",
     * ``"auto"`` — ``exact``, upgraded to the compact scheme when that
       is exact anyway (selective algebras).
 
+    *store* (a :class:`~repro.paths.store.TreeStore`) supplies the
+    per-source preferred-path trees of the schemes built from them
+    (destination tables, Cowen).  By default the build fills a fresh
+    :class:`~repro.core.simulate.PreferredWeightOracle` in one bulk
+    sweep and, once the scheme is built, offers it to
+    :data:`~repro.core.simulate.oracle_cache`: the evaluation that
+    follows adopts it and builds no tree again, while a build that
+    raises leaves nothing behind.  A caller's store is used as is and
+    never offered.
+
     Raises :class:`NotApplicableError` when no scheme in the catalog can
     implement the algebra on this graph (the honest outcome for, e.g., the
     un-assumed B3 policy, per Theorem 8).
@@ -86,11 +96,12 @@ def build_scheme(graph, algebra: RoutingAlgebra, mode: str = "auto",
 
     with span("build_scheme", algebra=algebra.name, mode=mode):
         return _build_scheme(graph, algebra, mode=mode, attr=attr,
-                             rng=as_rng(rng), **kwargs)
+                             rng=as_rng(rng), store=store, **kwargs)
 
 
 def _build_scheme(graph, algebra: RoutingAlgebra, mode: str, attr: str,
-                  rng: Optional[random.Random], **kwargs) -> RoutingScheme:
+                  rng: Optional[random.Random], store,
+                  **kwargs) -> RoutingScheme:
     if mode not in MODES:
         raise NotApplicableError(f"unknown mode {mode!r}; pick one of {MODES}")
     declared = algebra.declared_properties()
@@ -122,13 +133,24 @@ def _build_scheme(graph, algebra: RoutingAlgebra, mode: str, attr: str,
         return TreeRoutingScheme(graph, algebra, attr=attr)
 
     if declared.regular:
+        if mode == "compact" and not declared.delimited:
+            raise NotApplicableError(
+                f"{algebra.name}: Theorem 3's compact scheme needs delimitedness"
+            )
+        from repro.core.simulate import PreferredWeightOracle, oracle_cache
+
+        offer = store is None
+        if offer:
+            store = PreferredWeightOracle(graph, algebra, attr=attr)
         if mode == "compact":
-            if not declared.delimited:
-                raise NotApplicableError(
-                    f"{algebra.name}: Theorem 3's compact scheme needs delimitedness"
-                )
-            return CowenScheme(graph, algebra, attr=attr, rng=rng, **kwargs)
-        return DestinationTableScheme(graph, algebra, attr=attr)
+            scheme = CowenScheme(graph, algebra, attr=attr, rng=rng,
+                                 store=store, **kwargs)
+        else:
+            scheme = DestinationTableScheme(graph, algebra, attr=attr,
+                                            store=store)
+        if offer:
+            oracle_cache.offer(store)
+        return scheme
 
     if declared.isotone is False:
         if _is_shortest_widest(algebra):

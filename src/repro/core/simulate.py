@@ -53,6 +53,7 @@ from repro.algebra.lexicographic import LexicographicProduct
 from repro.algebra.catalog import ShortestPath, WidestPath
 from repro.exceptions import ReproError
 from repro.graphs.weighting import WEIGHT_ATTR
+from repro.paths.store import TreeStore
 from repro.routing.memory import MemoryReport, memory_report
 from repro.routing.model import RoutingScheme
 from repro.routing import query_engine as _query_engine
@@ -211,7 +212,7 @@ class OracleInvalidation:
     patched: bool
 
 
-class PreferredWeightOracle:
+class PreferredWeightOracle(TreeStore):
     """Lazy exact oracle: one preferred-path structure per *source*.
 
     The per-source structure is the unit of routing state (one
@@ -222,6 +223,11 @@ class PreferredWeightOracle:
     sample ``pair_count ≪ n²`` pairs, or shards that route from a handful
     of sources, therefore pay for exactly the trees they touch instead of
     all ``n``.
+
+    The oracle is a :class:`~repro.paths.store.TreeStore`: it owns the
+    per-source maps and the one compiled graph, and scheme builders take
+    their trees from it (``build_scheme`` offers the filled store to
+    :data:`oracle_cache`, so the evaluation that follows builds nothing).
 
     * :meth:`ensure_sources` bulk-builds the structures for a known
       source set (the parallel engine calls it per shard, so a shard's
@@ -244,26 +250,10 @@ class PreferredWeightOracle:
     """
 
     def __init__(self, graph, algebra: RoutingAlgebra, attr: str = WEIGHT_ATTR):
-        self.graph = graph
-        self.algebra = algebra
-        self.attr = attr
+        super().__init__(graph, algebra, attr)
         self.trees_requested = 0
-        self.trees_built = 0
-        self._tables: Dict = {}
-        self._parents: Dict = {}
         self._enum_memo: Optional[Dict] = None
-        self._compiled = None
-        self._lock = threading.Lock()
         self.engine = self._select_engine()
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
 
     def _select_engine(self) -> str:
         """The per-algebra engine name (mirrors the old eager dispatch)."""
@@ -281,22 +271,6 @@ class PreferredWeightOracle:
         self._enum_memo = {}
         return "enumeration"
 
-    def _ensure_compiled(self):
-        """The shared :class:`~repro.paths.kernel.CompiledGraph`, or None.
-
-        Compiled once per oracle (under the build lock the callers hold)
-        and reused by every per-source sweep; stays None for engines that
-        don't flatten (bgp, enumeration) and under
-        ``REPRO_PATH_ENGINE=reference``.
-        """
-        if self._compiled is None:
-            from repro.paths.kernel import compile_graph, resolve_engine
-
-            if resolve_engine() == "reference":
-                return None
-            self._compiled = compile_graph(self.graph, self.attr)
-        return self._compiled
-
     def compiled_graph(self):
         """The oracle's compiled graph for shipping to spawn workers.
 
@@ -305,22 +279,7 @@ class PreferredWeightOracle:
         """
         if self.engine not in ("dijkstra", "shortest-widest"):
             return None
-        with self._lock:
-            return self._ensure_compiled()
-
-    def adopt_compiled(self, compiled) -> None:
-        """Install a pre-built compiled graph (spawn workers call this).
-
-        The caller vouches that *compiled* was flattened from an
-        identical graph and the same weight attribute — the parallel
-        engine ships the parent oracle's own compiled graph alongside
-        the pickled graph it was compiled from.
-        """
-        if compiled is None or compiled.attr != self.attr:
-            return
-        with self._lock:
-            if self._compiled is None:
-                self._compiled = compiled
+        return super().compiled_graph()
 
     def _build_table(self, source) -> Dict:
         """target -> preferred weight, from one per-source engine run."""
@@ -335,90 +294,25 @@ class PreferredWeightOracle:
             routes = shortest_widest_routes(self.graph, source, attr=self.attr,
                                             compiled=self._ensure_compiled())
             return {t: route.weight for t, route in routes.items()}
-        from repro.paths.dijkstra import preferred_path_tree
-
-        tree = preferred_path_tree(self.graph, self.algebra, source,
-                                   attr=self.attr,
-                                   compiled=self._ensure_compiled())
-        # The parent map is the raw material of surgical invalidation
-        # (tree-edge tests in invalidate_edge); it costs nothing extra —
-        # the engine already built it.
-        self._parents[source] = tree.parent
-        return tree.weight
-
-    def _table_for(self, source) -> Dict:
-        table = self._tables.get(source)
-        if table is not None:
-            return table
-        with self._lock:
-            table = self._tables.get(source)
-            if table is None:
-                table = self._build_table(source)
-                self._tables[source] = table
-                self.trees_built += 1
-                if _telemetry_enabled():
-                    _telemetry().counter("oracle.trees_built").inc()
-        return table
+        return super()._build_table(source)
 
     def ensure_sources(self, sources: Iterable) -> None:
         """Bulk-build the per-source structures for *sources* (idempotent).
 
         A no-op for the enumeration fallback, where no per-source
         structure exists and eager enumeration over all targets would
-        cost more than the queries it serves.  Under
-        ``REPRO_PATH_ENGINE=batch`` (with an eligible algebra) the
-        missing trees build in vectorized multi-source sweeps
-        (:mod:`repro.paths.batch`) instead of one Python run each; the
-        per-source loop below then only counts requests and serves
-        cache hits.
+        cost more than the queries it serves.  Generalized-Dijkstra
+        trees fill through :meth:`TreeStore.ensure_sources
+        <repro.paths.store.TreeStore.ensure_sources>` — vectorized
+        multi-source sweeps where the engine and algebra allow.
         """
         if self.engine == "enumeration":
             return
         ordered = list(dict.fromkeys(sources))
-        if len(ordered) > 1 and self.engine == "dijkstra":
-            self._batch_ensure(ordered)
-        for source in ordered:
-            self.trees_requested += 1
-            if _telemetry_enabled():
-                _telemetry().counter("oracle.trees_requested").inc()
-            self._table_for(source)
-
-    def _batch_ensure(self, sources) -> None:
-        """Fill missing per-source tables with batched sweeps when eligible.
-
-        Quietly does nothing unless the batch engine resolves AND the
-        algebra/instance admit a batch plan — per-source builds then
-        proceed exactly as before (the batch engine's documented
-        per-algebra fallback).  Sources absent from the graph are left
-        for :meth:`_build_table` to raise on, preserving error behavior.
-        """
-        from repro.paths.kernel import resolve_engine
-
-        if resolve_engine() != "batch":
-            return
-        from repro.paths import batch as _batch
-
-        with self._lock:
-            missing = [s for s in sources if s not in self._tables]
-            if len(missing) < 2:
-                return
-            compiled = self._ensure_compiled()
-            if compiled is None:
-                return
-            missing = [s for s in missing if s in compiled.node_index]
-            if len(missing) < 2:
-                return
-            plan = _batch.batch_plan(compiled, self.algebra)
-            if plan is None:
-                return
-            runs = _batch.batch_trees(compiled, self.algebra, missing,
-                                      plan=plan)
-            for source, run in zip(missing, runs):
-                self._tables[source] = run.weight
-                self._parents[source] = run.parent
-            self.trees_built += len(missing)
-            if _telemetry_enabled():
-                _telemetry().counter("oracle.trees_built").inc(len(missing))
+        super().ensure_sources(ordered)
+        self.trees_requested += len(ordered)
+        if _telemetry_enabled():
+            _telemetry().counter("oracle.trees_requested").inc(len(ordered))
 
     def __call__(self, s, t):
         self.trees_requested += 1
@@ -470,12 +364,18 @@ class PreferredWeightOracle:
           usable direction — then the memoized labels remain both
           achievable and optimal, so a cold rebuild reproduces them.
 
-        Kept tables stay bit-identical to a cold rebuild provided the
-        algebra's weights are canonical (algebra-equal weights encode
-        identically — true of every built-in algebra, whose weights are
-        ints, Fractions and tuples thereof).  Everything else is dropped
-        and lazily rebuilt on the next query.  The compiled CSR view is
-        weight-patched in place when possible, else dropped.
+        Kept tables equal a cold rebuild *as mappings* (same weights and
+        parents) provided the algebra's weights are canonical
+        (algebra-equal weights encode identically — true of every
+        built-in algebra, whose weights are ints, Fractions and tuples
+        thereof).  Their insertion (first-relaxation) order comes from the
+        graph they were built on, so it may differ from a cold build's.
+        Oracle queries read weights only and never see the order, but a
+        scheme built from repaired maps would hold different state than
+        a cold build, so scheme builders take a fresh store instead.
+        Everything else is dropped and lazily rebuilt on the next query.
+        The compiled CSR view is weight-patched in place when possible,
+        else dropped.
         """
         if change not in ("weight", "remove", "add"):
             raise ValueError(f"unknown change kind {change!r}")
@@ -638,6 +538,10 @@ class OracleCache:
     the same instance — the cache accumulates exactly the trees the
     workloads have touched, never more.
 
+    A scheme build hands the store it filled to :meth:`offer`; the first
+    lookup of that instance is still a miss (the cache held no oracle),
+    but it adopts the offered store instead of starting an empty one.
+
     Thread-safe: lookups, ``stats()`` and ``clear()`` share one lock, and
     a miss takes a per-key build lock with a double check, so concurrent
     callers missing the same key perform one build (no thundering herd)
@@ -652,7 +556,29 @@ class OracleCache:
         self.misses = 0
         self._lock = threading.Lock()
         self._entries: "OrderedDict[Tuple, WeightOracle]" = OrderedDict()
+        self._offered: "OrderedDict[Tuple, PreferredWeightOracle]" = OrderedDict()
         self._build_locks: Dict[Tuple, threading.Lock] = {}
+
+    @staticmethod
+    def _key(graph, algebra: RoutingAlgebra, attr: str) -> Tuple:
+        return (graph_signature(graph, attr), _algebra_key(algebra), attr)
+
+    def offer(self, oracle: "PreferredWeightOracle") -> None:
+        """Hold *oracle* for the first lookup of its instance.
+
+        Call right after filling it, before the graph can change: the
+        offer is keyed on the graph's content now.  Instances the cache
+        already holds ignore offers; pending offers are bounded by the
+        cache's capacity (oldest dropped first).
+        """
+        key = self._key(oracle.graph, oracle.algebra, oracle.attr)
+        with self._lock:
+            if key in self._entries:
+                return
+            self._offered[key] = oracle
+            self._offered.move_to_end(key)
+            while len(self._offered) > self.capacity:
+                self._offered.popitem(last=False)
 
     def _lookup(self, key) -> Optional[WeightOracle]:
         """The cached oracle for *key* with hit bookkeeping, else None."""
@@ -669,12 +595,15 @@ class OracleCache:
             scheme_name: str = "") -> WeightOracle:
         """The cached oracle for this instance, building on miss.
 
+        A miss adopts the store a scheme build passed to :meth:`offer`
+        for the instance, if any, instead of building an empty oracle.
         Every lookup opens an ``oracle`` span tagged with the *current*
-        scheme and ``cache_hit="true"``/``"false"``, so per-scheme
-        profiles attribute oracle cost truthfully: a scheme that rode the
-        cache shows a zero-cost hit span, not the first scheme's build.
+        scheme and ``cache_hit="true"``/``"false"`` (plus
+        ``adopted="true"`` on an adopting miss), so per-scheme profiles
+        attribute oracle cost truthfully: a scheme that rode the cache
+        shows a zero-cost hit span, not the first scheme's build.
         """
-        key = (graph_signature(graph, attr), _algebra_key(algebra), attr)
+        key = self._key(graph, algebra, attr)
         oracle = self._lookup(key)
         if oracle is not None:
             with _obs_tracing.span("oracle", scheme=scheme_name,
@@ -694,10 +623,13 @@ class OracleCache:
                 return oracle
             with self._lock:
                 self.misses += 1
+                oracle = self._offered.pop(key, None)
             _telemetry().counter("oracle_cache.misses").inc()
+            adopted = {"adopted": "true"} if oracle is not None else {}
             with _obs_tracing.span("oracle", scheme=scheme_name,
-                                   cache_hit="false"):
-                oracle = preferred_weight_oracle(graph, algebra, attr=attr)
+                                   cache_hit="false", **adopted):
+                if oracle is None:
+                    oracle = preferred_weight_oracle(graph, algebra, attr=attr)
             with self._lock:
                 self._entries[key] = oracle
                 self._entries.move_to_end(key)
@@ -709,6 +641,7 @@ class OracleCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._offered.clear()
             self._build_locks.clear()
             self.hits = 0
             self.misses = 0
@@ -717,7 +650,8 @@ class OracleCache:
         """Hit/miss/entry counts plus the cached oracles' tree totals."""
         with self._lock:
             out = {"hits": self.hits, "misses": self.misses,
-                   "entries": len(self._entries), "capacity": self.capacity}
+                   "entries": len(self._entries), "capacity": self.capacity,
+                   "offered": len(self._offered)}
             oracles = list(self._entries.values())
         out["trees_requested"] = sum(
             o.trees_requested for o in oracles

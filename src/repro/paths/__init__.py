@@ -36,6 +36,7 @@ from repro.paths.shortest_widest import (
     shortest_widest_routes,
     widest_bottlenecks,
 )
+from repro.paths.store import BATCH_MIN_SOURCES, TreeStore
 from repro.paths.spanning_tree import (
     DisjointSet,
     maps_to_tree,
@@ -76,6 +77,8 @@ __all__ = [
     "all_pairs_shortest_widest",
     "shortest_widest_routes",
     "widest_bottlenecks",
+    "BATCH_MIN_SOURCES",
+    "TreeStore",
     "DisjointSet",
     "maps_to_tree",
     "preferred_spanning_tree",

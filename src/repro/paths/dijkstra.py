@@ -200,35 +200,17 @@ def all_pairs_preferred_weights(graph, algebra: RoutingAlgebra, attr: str = WEIG
     """Preferred path trees from every node (n runs of generalized Dijkstra).
 
     Eager by design: use it when every tree is genuinely needed (e.g.
-    materializing a full routing table).  The graph is compiled once and
-    shared across the per-source runs.  Under ``REPRO_PATH_ENGINE=batch``
-    (with an eligible algebra) all sources run through the vectorized
-    multi-source sweeps of :mod:`repro.paths.batch` — identical trees,
-    one chunked numpy sweep instead of n Python loops.  Evaluation
-    workloads that touch only some sources should go through the lazy
+    materializing a full routing table).  The trees come from one
+    :class:`~repro.paths.store.TreeStore` fill: the graph is compiled
+    once, and eligible algebras run as vectorized multi-source sweeps of
+    :mod:`repro.paths.batch` (identical trees, one chunked numpy sweep
+    instead of n Python loops) unless *engine* or ``REPRO_PATH_ENGINE``
+    forces a per-source engine.  Evaluation workloads that touch only
+    some sources should go through the lazy
     :class:`repro.core.simulate.PreferredWeightOracle` instead, which
     builds per-source trees on first query.
     """
-    resolved = resolve_engine(engine)
-    compiled = None
-    if resolved != "reference":
-        compiled = compile_graph(graph, attr)
-    if resolved == "batch" and compiled is not None:
-        from repro.paths import batch as _batch
+    from repro.paths.store import TreeStore
 
-        plan = _batch.batch_plan(compiled, algebra)
-        if plan is not None:
-            _check_tree_preconditions(algebra, unsafe)
-            nodes = list(graph.nodes())
-            runs = _batch.batch_trees(compiled, algebra, nodes, plan=plan)
-            return {
-                node: PathTree(node, run.weight, run.parent)
-                for node, run in zip(nodes, runs)
-            }
-        _batch.count_fallback()
-        resolved = "kernel"
-    return {
-        node: preferred_path_tree(graph, algebra, node, attr=attr, unsafe=unsafe,
-                                  engine=resolved, compiled=compiled)
-        for node in graph.nodes()
-    }
+    store = TreeStore(graph, algebra, attr, unsafe=unsafe, path_engine=engine)
+    return store.trees(graph.nodes())

@@ -31,12 +31,15 @@ reproduces the heap's insertion-counter tie-break exactly, and the
 golden-trace harness enforces this under ``REPRO_PATH_ENGINE`` in CI.
 
 Engine selection is overridable with the ``REPRO_PATH_ENGINE``
-environment variable (mirroring ``REPRO_START_METHOD``): ``kernel``
-(default; buckets where eligible), ``batch`` (the vectorized
+environment variable (mirroring ``REPRO_START_METHOD``): unset (or
+``auto``/``default``) runs single sources on the kernel and bulk tree
+fills (:class:`repro.paths.store.TreeStore`) on the batch engine where
+eligible; ``kernel`` (buckets where eligible), ``batch`` (the vectorized
 multi-source engine of :mod:`repro.paths.batch` where eligible, kernel
-otherwise), ``kernel-heap`` (compiled arrays, no buckets), ``reference``
-(the seed engine).  Unrecognized environment values warn once and apply
-the default.  See ``docs/PERFORMANCE.md``.
+otherwise), ``kernel-heap`` (compiled arrays, no buckets) and
+``reference`` (the seed engine) force one engine everywhere.
+Unrecognized environment values warn once and apply the default.  See
+``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
@@ -71,6 +74,10 @@ _ENGINE_ALIASES = {
     "vectorized": "batch",
 }
 
+#: Spellings that leave the choice to the caller: per-source sweeps run
+#: the kernel, bulk fills the batch engine where eligible.
+_DEFAULT_SPELLINGS = ("", "auto", "default")
+
 #: Environment values already warned about (one warning per value per process).
 _WARNED_ENGINE_VALUES: set = set()
 
@@ -85,40 +92,44 @@ BUCKET_MIN_LIMIT = 4096
 BUCKET_EDGE_FACTOR = 32
 
 
-def resolve_engine(engine: Optional[str] = None) -> str:
+def resolve_engine(engine: Optional[str] = None, *, bulk: bool = False) -> str:
     """The canonical path-engine choice: explicit arg > environment > default.
 
     Returns one of ``"kernel"`` (compiled arrays, buckets where eligible),
     ``"batch"`` (vectorized multi-source sweeps where eligible, kernel
     otherwise), ``"kernel-heap"`` (compiled arrays, heap frontier only) or
-    ``"reference"`` (the seed networkx-walking engine).  An unrecognized
+    ``"reference"`` (the seed networkx-walking engine).  The default is
+    ``kernel``; with *bulk* set (a caller filling many trees at once) the
+    default resolves to ``"auto"`` instead, which the caller maps to the
+    batch engine for large enough eligible fills.  An unrecognized
     *explicit* argument raises ``ValueError``; an unrecognized environment
-    value applies the default ``kernel`` after a one-time
-    ``RuntimeWarning`` naming the bad value — a typo in
-    ``REPRO_PATH_ENGINE`` must not silently benchmark the wrong engine.
+    value applies the default after a one-time ``RuntimeWarning`` naming
+    the bad value — a typo in ``REPRO_PATH_ENGINE`` must not silently
+    benchmark the wrong engine.
     """
     if engine is None:
         raw = os.environ.get(ENGINE_ENV, "")
         value = raw.strip().lower()
-        resolved = _ENGINE_ALIASES.get(value)
-        if resolved is None:
+        if value not in _ENGINE_ALIASES:
             if value not in _WARNED_ENGINE_VALUES:
                 _WARNED_ENGINE_VALUES.add(value)
                 warnings.warn(
                     f"unrecognized {ENGINE_ENV} value {raw.strip()!r}; "
-                    f"using the default engine 'kernel' "
+                    f"using the default engine "
                     f"(recognized: kernel, batch, kernel-heap, reference)",
                     RuntimeWarning,
                     stacklevel=2,
                 )
-            return "kernel"
-        return resolved
-    value = engine.strip().lower()
-    if value not in _ENGINE_ALIASES:
-        raise ValueError(
-            f"unknown path engine {engine!r}; pick one of "
-            f"kernel, batch, kernel-heap, reference"
-        )
+            value = ""
+    else:
+        value = engine.strip().lower()
+        if value not in _ENGINE_ALIASES:
+            raise ValueError(
+                f"unknown path engine {engine!r}; pick one of "
+                f"kernel, batch, kernel-heap, reference"
+            )
+    if bulk and value in _DEFAULT_SPELLINGS:
+        return "auto"
     return _ENGINE_ALIASES[value]
 
 
@@ -220,9 +231,9 @@ class CompiledGraph:
     worker costs only the index arrays.
 
     The compiled view is a snapshot — mutating the source graph after
-    compilation is not reflected.  Holders that cache one (the lazy
-    oracle, ``all_pairs_preferred_weights``) already treat the instance
-    as immutable for the run's duration.
+    compilation is not reflected.  Holders that cache one (the tree
+    stores of :mod:`repro.paths.store`, the lazy oracle among them)
+    already treat the instance as immutable for the run's duration.
     """
 
     __slots__ = ("attr", "directed", "nodes", "node_index", "indptr",
@@ -353,8 +364,11 @@ def compile_graph(graph, attr: str = WEIGHT_ATTR) -> CompiledGraph:
     One O(n + m) pass; digraphs compile their out-edges.  The adjacency
     iteration order of the source graph is preserved, which is what keeps
     compiled runs' insertion-counter tie-breaks identical to the
-    reference engine's.
+    reference engine's.  Each call counts on the
+    ``path_engine.compile_graph_calls`` telemetry counter.
     """
+    if _telemetry_enabled():
+        _telemetry().counter("path_engine.compile_graph_calls").inc()
     nodes = list(graph.nodes())
     node_index = {node: index for index, node in enumerate(nodes)}
     directed = graph.is_directed()

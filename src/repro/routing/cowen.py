@@ -51,7 +51,7 @@ from repro.algebra.base import PHI, RoutingAlgebra
 from repro.exceptions import NotApplicableError, RoutingError
 from repro.graphs.weighting import WEIGHT_ATTR
 from repro.obs.tracing import span
-from repro.paths.dijkstra import preferred_path_tree
+from repro.paths.store import TreeStore
 from repro.routing.memory import label_bits_for_nodes, port_bits, table_bits
 from repro.routing.model import Action, Decision, RoutingScheme
 from repro.routing.tree_routing import TreeRoutingScheme
@@ -60,13 +60,22 @@ STRATEGIES = ("random", "cowen", "degree")
 
 
 class CowenScheme(RoutingScheme):
-    """Landmark + cluster compact routing for delimited regular algebras."""
+    """Landmark + cluster compact routing for delimited regular algebras.
+
+    The preferred-path tree of every node comes from *store* (a
+    :class:`~repro.paths.store.TreeStore` over the same graph, algebra
+    and attr), filled in one bulk request; by default a private store.
+    The scheme keeps the store's maps as they are, insertion order
+    included, so the store must hold cold-built trees, never ones
+    repaired after a graph change.
+    """
 
     name = "cowen-stretch3"
 
     def __init__(self, graph, algebra: RoutingAlgebra, attr: str = WEIGHT_ATTR,
                  strategy: str = "random", rng: Optional[random.Random] = None,
-                 landmarks: Optional[Set] = None, cluster_threshold: Optional[int] = None):
+                 landmarks: Optional[Set] = None, cluster_threshold: Optional[int] = None,
+                 store: Optional[TreeStore] = None):
         super().__init__(graph, algebra, attr)
         declared = algebra.declared_properties()
         if declared.monotone is False or declared.isotone is False:
@@ -87,10 +96,9 @@ class CowenScheme(RoutingScheme):
         self.strategy = strategy
 
         with span("preferred_trees", scheme=self.name):
-            self._trees = {
-                node: preferred_path_tree(graph, algebra, node, attr=attr)
-                for node in graph.nodes()
-            }
+            if store is None:
+                store = TreeStore(graph, algebra, attr)
+            self._trees = store.trees(graph.nodes())
         n = graph.number_of_nodes()
         for node, tree in self._trees.items():
             if len(tree.reachable()) != n - 1:

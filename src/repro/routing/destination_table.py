@@ -11,18 +11,19 @@ optimal up to a logarithmic factor.
 Construction: one generalized-Dijkstra run rooted at every destination
 ``t`` yields, via commutativity of ``⊕`` on the undirected graph, the
 first hop of the preferred ``u -> t`` path for every ``u`` (the preferred
-``t -> u`` tree read backwards).
+``t -> u`` tree read backwards).  The trees come from one bulk request
+to a :class:`~repro.paths.store.TreeStore` (by default a private one).
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.algebra.base import RoutingAlgebra
 from repro.exceptions import NotApplicableError
 from repro.graphs.weighting import WEIGHT_ATTR
 from repro.obs.tracing import span
-from repro.paths.dijkstra import preferred_path_tree
+from repro.paths.store import TreeStore
 from repro.routing.memory import label_bits_for_nodes, port_bits, table_bits
 from repro.routing.model import Decision, RoutingScheme
 
@@ -33,7 +34,7 @@ class DestinationTableScheme(RoutingScheme):
     name = "destination-table"
 
     def __init__(self, graph, algebra: RoutingAlgebra, attr: str = WEIGHT_ATTR,
-                 unsafe: bool = False):
+                 unsafe: bool = False, store: Optional[TreeStore] = None):
         super().__init__(graph, algebra, attr)
         if graph.is_directed():
             raise NotApplicableError(
@@ -53,8 +54,9 @@ class DestinationTableScheme(RoutingScheme):
         }
         self._weight_to: Dict[object, Dict[object, object]] = {}
         with span("preferred_trees", scheme=self.name):
-            for target in graph.nodes():
-                tree = preferred_path_tree(graph, algebra, target, attr=attr, unsafe=unsafe)
+            if store is None:
+                store = TreeStore(graph, algebra, attr, unsafe=unsafe)
+            for target, tree in store.trees(graph.nodes()).items():
                 self._weight_to[target] = tree.weight
                 for node in tree.reachable():
                     # parent pointers walk toward the root (= destination), so

@@ -5,7 +5,7 @@ state warm across queries:
 
 * the **scheme** (whatever :func:`repro.core.compiler.build_scheme`
   prescribes), rebuilt lazily — and deterministically, from the service's
-  seed — after any mutation dirties it;
+  seed and a fresh tree store — after any mutation dirties it;
 * a private lazy :class:`~repro.core.simulate.PreferredWeightOracle`
   whose per-source trees accumulate across queries and survive mutations
   that provably cannot affect them (surgical invalidation);
@@ -33,6 +33,7 @@ from repro.obs import events as _events
 from repro.obs import tracing as _obs_tracing
 from repro.obs.metrics import enabled as _telemetry_enabled
 from repro.obs.metrics import metrics as _telemetry
+from repro.paths.store import TreeStore
 from repro.routing.memory import MemoryReport, memory_report
 from repro.routing.model import RoutingScheme
 from repro.routing.stretch import minimal_stretch
@@ -158,11 +159,17 @@ class RoutingService:
         if self._scheme is None:
             from repro.core.compiler import build_scheme
 
+            # A fresh, uncached store per build: trees the oracle kept
+            # through invalidate_edge equal a cold build's as mappings but
+            # not in insertion order, so a scheme built from them would
+            # differ from a cold service's — and caching a store for every
+            # churned graph would only grow memory.
             with _obs_tracing.span("service.build_scheme",
                                    algebra=self.algebra.name):
                 self._scheme = build_scheme(
                     self.graph, self.algebra, mode=self.options.mode,
-                    attr=self.attr, rng=random.Random(self.options.seed))
+                    attr=self.attr, rng=random.Random(self.options.seed),
+                    store=TreeStore(self.graph, self.algebra, attr=self.attr))
             self.scheme_builds += 1
             if _telemetry_enabled():
                 _telemetry().counter("service.scheme_builds").inc()
