@@ -7,7 +7,8 @@ three engines:
 * **reference** — the seed implementation (networkx adjacency walk,
   ``_HeapEntry`` heap);
 * **kernel-heap** — the same heap algorithm over the CSR-compiled
-  arrays (isolates the flattening win);
+  arrays, i.e. the kernel's heap fallback ``kernel_tree(...,
+  buckets=False)`` called directly (isolates the flattening win);
 * **kernel** — CSR arrays plus the Dial-style bucketed frontier, which
   the integer-key capability of ``ShortestPath`` unlocks.
 
@@ -29,6 +30,7 @@ from repro.algebra import ShortestPath
 from repro.graphs import assign_random_weights, erdos_renyi
 from repro.graphs.weighting import WEIGHT_ATTR
 from repro.paths.dijkstra import compile_graph, preferred_path_tree
+from repro.paths.kernel import kernel_tree
 
 N = 1024
 SOURCES = 48
@@ -51,17 +53,24 @@ class CountingShortestPath(ShortestPath):
 
 
 def _measure(engine, graph, sources):
-    """(trees, comparisons, seconds, stats-of-last-run) for one engine."""
+    """(trees, comparisons, seconds, compiled graph) for one engine.
+
+    ``kernel-heap`` runs the kernel's heap fallback directly.
+    """
     algebra = CountingShortestPath(MAX_WEIGHT)
     compiled = None
     start = time.perf_counter()
     if engine != "reference":
         compiled = compile_graph(graph, WEIGHT_ATTR)
-    trees = [
-        preferred_path_tree(graph, algebra, source, engine=engine,
-                            compiled=compiled)
-        for source in sources
-    ]
+    if engine == "kernel-heap":
+        trees = [kernel_tree(compiled, algebra, source, buckets=False)
+                 for source in sources]
+    else:
+        trees = [
+            preferred_path_tree(graph, algebra, source, engine=engine,
+                                compiled=compiled)
+            for source in sources
+        ]
     elapsed = time.perf_counter() - start
     return trees, algebra.leq_calls, elapsed, compiled
 

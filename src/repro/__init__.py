@@ -56,7 +56,7 @@ from repro.exceptions import (
     RoutingError,
 )
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "algebra",

@@ -311,7 +311,7 @@ class _RunTelemetry:
             run_info = _parallel.last_run_info()
             engine = {
                 "start_method": run_info.start_method if run_info else "serial",
-                "path_engine": resolve_engine(),
+                "path_engine": resolve_engine(bulk=True),
                 "workers": run_info.workers if run_info else 0,
             }
             snapshot = obs.telemetry_snapshot(include_spans=True)

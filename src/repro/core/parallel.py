@@ -75,13 +75,14 @@ import pickle
 import queue as _queue_mod
 import threading
 import time
-import warnings
 from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures import wait as _cf_wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro import shared_arrays
+from repro.choices import resolve_choice
 from repro.core import simulate as _simulate
 from repro.core.simulate import ShardResult, route_shard
 from repro.obs import events as _events
@@ -94,6 +95,10 @@ from repro.obs.metrics import (
     reset as _metrics_reset,
     swap_registry as _swap_registry,
 )
+from repro.paths import batch as _batch
+from repro.paths.kernel import resolve_engine
+from repro.routing import compiled_query as _compiled_query
+from repro.routing.query_engine import resolve_query_engine
 
 #: Shards per worker when ``shard_size`` is not pinned: a few per worker
 #: smooths out per-shard cost variance without drowning in task overhead.
@@ -260,66 +265,16 @@ def shard_pairs_by_source(pairs: Sequence[Tuple], workers: int,
     return shards, index_lists
 
 
-#: Environment values already warned about (one warning per value per process).
-_WARNED_START_METHODS: set = set()
-
-
 def _start_method() -> Optional[str]:
-    """The pool start method: the env override when valid, else fork.
+    """The pool start method: ``REPRO_START_METHOD`` when valid, else fork.
 
-    An unrecognized ``REPRO_START_METHOD`` value applies the default
-    after a one-time ``RuntimeWarning`` naming the bad value and the
-    method actually used — a typo must not silently exercise the wrong
-    start path.
+    Resolved by :func:`repro.choices.resolve_choice`, so an unrecognized
+    value warns once and applies the default.
     """
     methods = multiprocessing.get_all_start_methods()
-    raw = os.environ.get(START_METHOD_ENV, "")
-    forced = raw.strip().lower()
-    if forced in methods:
-        return forced
-    default = "fork" if "fork" in methods else None
-    if forced and forced not in _WARNED_START_METHODS:
-        _WARNED_START_METHODS.add(forced)
-        applied = default if default is not None else "the platform default"
-        warnings.warn(
-            f"unrecognized {START_METHOD_ENV} value {raw.strip()!r}; "
-            f"using {applied} (recognized: {', '.join(methods)})",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return default
-
-
-def _resolve_path_engine() -> str:
-    """The resolved ``REPRO_PATH_ENGINE`` choice (lazy import)."""
-    from repro.paths.kernel import resolve_engine
-
-    return resolve_engine()
-
-
-def _release_shared(handles) -> None:
-    """Close and unlink the parent's exported batch shared-memory segments."""
-    if not handles:
-        return
-    from repro.paths import batch as _batch
-
-    _batch.close_shared(handles, unlink=True)
-
-
-def _resolve_query_engine() -> str:
-    """The resolved ``REPRO_QUERY_ENGINE`` choice (lazy import)."""
-    from repro.routing.query_engine import resolve_query_engine
-
-    return resolve_query_engine()
-
-
-def _release_query_shared(handles) -> None:
-    """Close and unlink the parent's exported query-table segments."""
-    if not handles:
-        return
-    from repro.routing import compiled_query as _compiled_query
-
-    _compiled_query.close_shared_query(handles, unlink=True)
+    aliases = {"": "fork" if "fork" in methods else None}
+    aliases.update((method, method) for method in methods)
+    return resolve_choice(None, START_METHOD_ENV, aliases, "start method")
 
 
 # ---------------------------------------------------------------------------
@@ -382,22 +337,13 @@ def _init_spawn_worker(payload: bytes, telemetry_enabled: bool,
         # The parent shipped its CompiledGraph (flattened from the very
         # graph in this payload), so the worker's sweeps skip recompiling.
         oracle.adopt_compiled(compiled)
-        if shared_batch is not None:
-            # Under the batch engine the parent also exported the plan's
-            # int arrays to shared memory: map them zero-copy instead of
-            # re-deriving per process.  Failure is harmless (the worker
-            # rebuilds its own arrays on first sweep).
-            from repro.paths import batch as _batch
-
-            _batch.attach_shared(compiled, algebra, shared_batch)
-    if shared_query is not None:
-        # The parent also exported the scheme's compiled *query* tables
-        # (the vectorized shard evaluator's flat arrays): map them
-        # zero-copy and seed this worker's compile cache.  Failure is
-        # harmless — the worker compiles its own tables on first shard.
-        from repro.routing import compiled_query as _compiled_query
-
-        _compiled_query.attach_shared_query(scheme, shared_query)
+        # Map the parent's exported batch plan zero-copy instead of
+        # re-deriving it.  Failure is harmless (the worker rebuilds its
+        # own arrays on first sweep).
+        _batch.attach_shared(compiled, algebra, shared_batch)
+    # Same for the scheme's compiled *query* tables: a failed attach
+    # means the worker compiles its own tables on first shard.
+    _compiled_query.attach_shared_query(scheme, shared_query)
     _WORKER_STATE = (graph, algebra, scheme, oracle, attr, max_k, trace_limit)
     _set_started_queue(started_queue)
     # Reset *after* the oracle setup: initializer-time telemetry (the lazy
@@ -879,8 +825,7 @@ def evaluate_sharded(graph, algebra, scheme, oracle, pairs: Sequence[Tuple],
         context = multiprocessing.get_context(method)
     live_queue, stop_pump = _live_event_pump(context)
 
-    shared_handles = None
-    query_handles = None
+    shared_handles: List = []
     if use_fork:
         initializer, initargs = _init_fork_worker, (live_queue,)
         _WORKER_STATE = (graph, algebra, scheme, oracle, scheme.attr,
@@ -894,39 +839,32 @@ def evaluate_sharded(graph, algebra, scheme, oracle, pairs: Sequence[Tuple],
             compiled_getter = getattr(oracle, "compiled_graph", None)
             if compiled_getter is not None:
                 compiled = compiled_getter()
-            # Under the batch engine, additionally export the plan's int
-            # arrays through shared memory: every worker (pool rebuilds
-            # included — they reuse these initargs) maps one copy instead
-            # of materializing its own.  The parent owns the segments and
-            # unlinks them in the finally below, after the last round.
-            shared_descriptor = None
-            if compiled is not None and _resolve_path_engine() == "batch":
-                from repro.paths import batch as _batch
-
-                shared_handles, shared_descriptor = _batch.export_shared(
-                    compiled, algebra)
-            # Same treatment for the vectorized query engine's compiled
-            # scheme tables: compile once in the parent, export the int
-            # arrays, and let every spawn worker attach zero-copy.  Only
-            # worth it when the engine will actually run (telemetry
+            # When worker bulk fills may batch (the default engine or a
+            # forced batch), export the plan's int arrays through shared
+            # memory: every worker (pool rebuilds included — they reuse
+            # these initargs) maps one copy instead of materializing its
+            # own.  The parent owns the segments and unlinks them in the
+            # finally below, after the last round.
+            batch_descriptor = None
+            if (compiled is not None
+                    and resolve_engine(bulk=True) in ("auto", "batch")):
+                handles, batch_descriptor = _batch.export_shared(compiled,
+                                                                 algebra)
+                shared_handles.extend(handles or ())
+            # Same for the vectorized query engine's compiled scheme
+            # tables — only when the engine will actually run (telemetry
             # forces the reference loop for trace fidelity).
             query_descriptor = None
-            if not telemetry and _resolve_query_engine() == "batch":
-                from repro.routing import compiled_query as _compiled_query
-
-                query_tables = _compiled_query.compile_query(scheme)
-                if query_tables is not None:
-                    query_handles, query_descriptor = (
-                        _compiled_query.export_shared_query(query_tables))
+            if not telemetry and resolve_query_engine() == "batch":
+                handles, query_descriptor = _compiled_query.export_shared_query(
+                    _compiled_query.compile_query(scheme))
+                shared_handles.extend(handles or ())
             payload = pickle.dumps(
                 (graph, algebra, scheme, scheme.attr, max_k, trace_limit,
-                 compiled, shared_descriptor, query_descriptor)
+                 compiled, batch_descriptor, query_descriptor)
             )
         except Exception as exc:
-            _release_shared(shared_handles)
-            shared_handles = None
-            _release_query_shared(query_handles)
-            query_handles = None
+            shared_arrays.close(shared_handles, unlink=True)
             stop_pump()
             return _serial_fallback(algebra, scheme, oracle, pairs, max_k,
                                     trace_limit, reason="unpicklable",
@@ -959,8 +897,7 @@ def evaluate_sharded(graph, algebra, scheme, oracle, pairs: Sequence[Tuple],
                                 cause=repr(exc))
     finally:
         stop_pump()
-        _release_shared(shared_handles)
-        _release_query_shared(query_handles)
+        shared_arrays.close(shared_handles, unlink=True)
         if use_fork:
             _WORKER_STATE = None
 

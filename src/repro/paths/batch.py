@@ -50,14 +50,10 @@ Shared memory
 -------------
 
 :func:`export_shared` / :func:`attach_shared` move the plan's int arrays
-(``indptr``, ``indices``, ``edge_keys``) through
-``multiprocessing.shared_memory`` so spawn-path parallel workers map the
-parent's arrays zero-copy instead of re-materializing them per process.
-The parent owns the segments (created in
-:func:`repro.core.parallel.evaluate_sharded`, unlinked when the pool —
-rebuilds included — is done); workers only attach, holding the handles
-alive for the process's lifetime, and share the parent's resource
-tracker so no cleanup races occur.  See ``docs/PERFORMANCE.md``.
+(``indptr``, ``indices``, ``edge_keys``) to spawn-path parallel workers
+over :mod:`repro.shared_arrays`, so workers map the parent's arrays
+zero-copy instead of re-materializing them per process.  See
+``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
@@ -65,15 +61,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-try:  # numpy is an optional extra (`pip install repro[fast]`)
-    import numpy as _np
-except Exception:  # pragma: no cover - exercised via monkeypatch in tests
-    _np = None
-
+from repro import shared_arrays
 from repro.algebra.base import RoutingAlgebra
 from repro.obs.metrics import enabled as _telemetry_enabled
 from repro.obs.metrics import metrics as _telemetry
 from repro.paths.kernel import CompiledGraph, KernelRun, KernelStats
+from repro.shared_arrays import np as _np
+from repro.shared_arrays import numpy_available
 
 #: Lanes per vectorized sweep chunk; source lists longer than this are
 #: processed in chunks (the last one ragged), bounding the dense
@@ -95,11 +89,6 @@ _PLAN_KEY = "batch-plan"
 
 #: ``compiled.scratch`` key pinning attached shared-memory handles alive.
 _SHARED_KEY = "batch-shared-handles"
-
-
-def numpy_available() -> bool:
-    """Whether the optional numpy dependency imported successfully."""
-    return _np is not None
 
 
 @dataclass(frozen=True)
@@ -162,7 +151,7 @@ def batch_plan(compiled: CompiledGraph, algebra: RoutingAlgebra
     which :meth:`~repro.paths.kernel.CompiledGraph.patch_weight`
     invalidates together with the kernel's own bucket plans.
     """
-    if _np is None:
+    if not numpy_available():
         return None
     cached = compiled.scratch.get((_PLAN_KEY, algebra))
     if cached is not None:
@@ -493,100 +482,51 @@ def _emit_batch_stats(stats: BatchStats) -> None:
 
 
 def export_shared(compiled: CompiledGraph, algebra: RoutingAlgebra) -> Tuple:
-    """Copy the batch plan's int arrays into shared-memory segments.
+    """Export the batch plan's int arrays through :mod:`repro.shared_arrays`.
 
-    Returns ``(handles, descriptor)``.  The caller owns the handles and
-    must :func:`close_shared` them (with ``unlink=True``) once every
-    consumer is done — pool rebuilds may re-attach in between, so the
-    segments outlive any individual worker.  Returns ``(None, None)``
-    when the instance has no batch plan or shared memory is unavailable;
-    callers then fall back to the pickled payload alone.
+    Returns ``(handles, descriptor)``; the caller owns the handles and
+    closes them with :func:`repro.shared_arrays.close` (``unlink=True``)
+    once every consumer is done.  ``(None, None)`` when the instance has
+    no batch plan or shared memory is unavailable.
     """
     plan = batch_plan(compiled, algebra)
     if plan is None:
         return None, None
-    try:
-        from multiprocessing import shared_memory
-    except Exception:  # pragma: no cover - platform without shm
+    handles, arrays = shared_arrays.export({
+        "indptr": plan.indptr, "indices": plan.indices,
+        "edge_keys": plan.edge_keys})
+    if handles is None:
         return None, None
-    handles = []
-    descriptor = {"length": plan.length, "arrays": {}}
-    try:
-        for name, array in (("indptr", plan.indptr),
-                            ("indices", plan.indices),
-                            ("edge_keys", plan.edge_keys)):
-            segment = shared_memory.SharedMemory(create=True,
-                                                 size=max(1, array.nbytes))
-            view = _np.ndarray(array.shape, dtype=array.dtype,
-                               buffer=segment.buf)
-            view[:] = array
-            handles.append(segment)
-            descriptor["arrays"][name] = (segment.name, tuple(array.shape),
-                                          str(array.dtype))
-    except Exception:
-        close_shared(handles, unlink=True)
-        return None, None
-    return handles, descriptor
+    return handles, {"length": plan.length,
+                     "identity_decode": plan.identity_decode,
+                     "arrays": arrays}
 
 
 def attach_shared(compiled: CompiledGraph, algebra: RoutingAlgebra,
                   descriptor) -> bool:
-    """Adopt exported batch arrays in a worker process, zero-copy.
+    """Seed *compiled*'s batch plan for *algebra* from exported arrays.
 
-    Maps each segment, wraps it in a numpy view, and seeds the batch
-    plan cache of *compiled* for *algebra* — the worker's sweeps then
-    read the parent's arrays instead of re-materializing them.  The
+    The worker's sweeps then read the parent's arrays zero-copy; the
     handles are pinned in ``compiled.scratch`` so the buffers outlive
-    every view; the *parent* owns the segments' lifetime and unlinks
-    them after the pool's final round.  Returns False (and attaches
-    nothing) on any failure — the worker then builds its own arrays,
-    which is merely slower.
+    every view.  Returns False (attaching nothing) on any failure — the
+    worker then builds its own arrays, which is merely slower.
     """
-    if _np is None or not descriptor:
-        return False
-    try:
-        from multiprocessing import shared_memory
-    except Exception:  # pragma: no cover - platform without shm
+    if not descriptor:
         return False
     max_hops = max(1, len(compiled.nodes) - 1)
     try:
         decode = algebra.integer_key_weight_fn(max_hops)
     except Exception:
         return False
-    handles = []
-    arrays = {}
-    try:
-        for name, (segment_name, shape, dtype) in descriptor["arrays"].items():
-            # CPython < 3.13 registers even plain attachments with the
-            # resource tracker; multiprocessing workers share the
-            # parent's tracker process, where re-registering a tracked
-            # name is a no-op and the parent's unlink clears the single
-            # entry — so no tracker surgery is needed here.
-            segment = shared_memory.SharedMemory(name=segment_name)
-            handles.append(segment)
-            arrays[name] = _np.ndarray(tuple(shape), dtype=_np.dtype(dtype),
-                                       buffer=segment.buf)
-    except Exception:
-        close_shared(handles, unlink=False)
+    attached = shared_arrays.attach(descriptor["arrays"])
+    if attached is None:
         return False
+    handles, arrays = attached
     plan = BatchPlan(length=descriptor["length"], max_hops=max_hops,
                      indptr=arrays["indptr"], indices=arrays["indices"],
-                     edge_keys=arrays["edge_keys"], decode=decode)
+                     edge_keys=arrays["edge_keys"], decode=decode,
+                     identity_decode=descriptor["identity_decode"])
     compiled.scratch[_SHARED_KEY] = handles
     compiled.scratch[(_PLAN_KEY, algebra)] = plan
     compiled.scratch[_CSR_KEY] = (plan.indptr, plan.indices)
     return True
-
-
-def close_shared(handles, unlink: bool) -> None:
-    """Close (and with *unlink*, destroy) exported shared-memory segments."""
-    for segment in handles or ():
-        try:
-            segment.close()
-        except Exception:
-            pass
-        if unlink:
-            try:
-                segment.unlink()
-            except Exception:
-                pass

@@ -85,7 +85,7 @@ def preferred_path_tree(graph, algebra: RoutingAlgebra, root, attr: str = WEIGHT
     right-associative algebras use :mod:`repro.paths.valley_free` instead —
     path-vector composition does not grow from the source side.
 
-    *engine* forces a path engine (``kernel``, ``kernel-heap``,
+    *engine* forces a path engine (``kernel``, ``batch``,
     ``reference``); by default the ``REPRO_PATH_ENGINE`` environment
     override applies, falling back to the compiled kernel.  Pass a
     pre-built *compiled* graph (from :func:`compile_graph`) to amortize
@@ -116,8 +116,7 @@ def preferred_path_tree(graph, algebra: RoutingAlgebra, root, attr: str = WEIGHT
         # Per-algebra fallback: ineligible instances run the (bit-identical)
         # PR 5 kernel instead.
         _batch.count_fallback()
-        resolved = "kernel"
-    run = kernel_tree(compiled, algebra, root, buckets=(resolved == "kernel"))
+    run = kernel_tree(compiled, algebra, root)
     emit_stats(run.stats)
     return PathTree(root, run.weight, run.parent)
 

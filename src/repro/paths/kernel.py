@@ -31,14 +31,14 @@ reproduces the heap's insertion-counter tie-break exactly, and the
 golden-trace harness enforces this under ``REPRO_PATH_ENGINE`` in CI.
 
 Engine selection is overridable with the ``REPRO_PATH_ENGINE``
-environment variable (mirroring ``REPRO_START_METHOD``): unset (or
-``auto``/``default``) runs single sources on the kernel and bulk tree
-fills (:class:`repro.paths.store.TreeStore`) on the batch engine where
-eligible; ``kernel`` (buckets where eligible), ``batch`` (the vectorized
-multi-source engine of :mod:`repro.paths.batch` where eligible, kernel
-otherwise), ``kernel-heap`` (compiled arrays, no buckets) and
-``reference`` (the seed engine) force one engine everywhere.
-Unrecognized environment values warn once and apply the default.  See
+environment variable (resolved by :func:`repro.choices.resolve_choice`):
+unset (or ``auto``/``default``) runs single sources on the kernel and
+bulk tree fills (:class:`repro.paths.store.TreeStore`) on the batch
+engine where eligible; ``kernel`` (buckets where eligible), ``batch``
+(the vectorized multi-source engine of :mod:`repro.paths.batch` where
+eligible, kernel otherwise) and ``reference`` (the seed engine) force
+one engine everywhere.  The heap frontier over the compiled arrays stays
+reachable as ``kernel_tree(..., buckets=False)``.  See
 ``docs/PERFORMANCE.md``.
 """
 
@@ -46,40 +46,32 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import os
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.algebra.base import RoutingAlgebra, is_phi
+from repro.choices import resolve_choice
 from repro.graphs.weighting import WEIGHT_ATTR
 from repro.obs.metrics import enabled as _telemetry_enabled
 from repro.obs.metrics import metrics as _telemetry
 
-#: Environment variable forcing the path engine (kernel/kernel-heap/reference).
+#: Environment variable forcing the path engine (see :func:`resolve_engine`).
 ENGINE_ENV = "REPRO_PATH_ENGINE"
 
-#: Recognized engine spellings -> canonical engine name.
+#: Recognized engine spellings -> canonical engine name.  ``auto`` leaves
+#: the choice to the caller: per-source sweeps run the kernel, bulk fills
+#: the batch engine where eligible.
 _ENGINE_ALIASES = {
-    "": "kernel",
-    "auto": "kernel",
-    "default": "kernel",
+    "": "auto",
+    "auto": "auto",
+    "default": "auto",
     "kernel": "kernel",
     "compiled": "kernel",
-    "kernel-heap": "kernel-heap",
-    "no-buckets": "kernel-heap",
     "reference": "reference",
     "seed": "reference",
     "batch": "batch",
     "vectorized": "batch",
 }
-
-#: Spellings that leave the choice to the caller: per-source sweeps run
-#: the kernel, bulk fills the batch engine where eligible.
-_DEFAULT_SPELLINGS = ("", "auto", "default")
-
-#: Environment values already warned about (one warning per value per process).
-_WARNED_ENGINE_VALUES: set = set()
 
 #: Bucket arrays never exceed this many buckets, whatever the instance size.
 BUCKET_HARD_CAP = 1 << 22
@@ -95,42 +87,17 @@ BUCKET_EDGE_FACTOR = 32
 def resolve_engine(engine: Optional[str] = None, *, bulk: bool = False) -> str:
     """The canonical path-engine choice: explicit arg > environment > default.
 
-    Returns one of ``"kernel"`` (compiled arrays, buckets where eligible),
+    Returns ``"kernel"`` (compiled arrays, buckets where eligible),
     ``"batch"`` (vectorized multi-source sweeps where eligible, kernel
-    otherwise), ``"kernel-heap"`` (compiled arrays, heap frontier only) or
-    ``"reference"`` (the seed networkx-walking engine).  The default is
-    ``kernel``; with *bulk* set (a caller filling many trees at once) the
-    default resolves to ``"auto"`` instead, which the caller maps to the
-    batch engine for large enough eligible fills.  An unrecognized
-    *explicit* argument raises ``ValueError``; an unrecognized environment
-    value applies the default after a one-time ``RuntimeWarning`` naming
-    the bad value — a typo in ``REPRO_PATH_ENGINE`` must not silently
-    benchmark the wrong engine.
+    otherwise) or ``"reference"`` (the seed networkx-walking engine).
+    The default is ``kernel``; with *bulk* set (a caller filling many
+    trees at once) it resolves to ``"auto"`` instead, which the caller
+    maps to the batch engine for large enough eligible fills.  Bad values
+    are handled by :func:`repro.choices.resolve_choice`.
     """
-    if engine is None:
-        raw = os.environ.get(ENGINE_ENV, "")
-        value = raw.strip().lower()
-        if value not in _ENGINE_ALIASES:
-            if value not in _WARNED_ENGINE_VALUES:
-                _WARNED_ENGINE_VALUES.add(value)
-                warnings.warn(
-                    f"unrecognized {ENGINE_ENV} value {raw.strip()!r}; "
-                    f"using the default engine "
-                    f"(recognized: kernel, batch, kernel-heap, reference)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            value = ""
-    else:
-        value = engine.strip().lower()
-        if value not in _ENGINE_ALIASES:
-            raise ValueError(
-                f"unknown path engine {engine!r}; pick one of "
-                f"kernel, batch, kernel-heap, reference"
-            )
-    if bulk and value in _DEFAULT_SPELLINGS:
-        return "auto"
-    return _ENGINE_ALIASES[value]
+    resolved = resolve_choice(engine, ENGINE_ENV, _ENGINE_ALIASES,
+                              "path engine")
+    return "kernel" if resolved == "auto" and not bulk else resolved
 
 
 def node_ranks(nodes) -> Dict[object, int]:

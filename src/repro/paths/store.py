@@ -12,8 +12,8 @@ tree once, and fills bulk requests in one sweep:
   plan admit it; smaller fills and ineligible instances run the kernel
   per source over the one compiled graph;
 * a forced engine keeps its meaning: ``batch`` batches every eligible
-  fill, ``kernel``/``kernel-heap`` run per source, and ``reference``
-  walks the networkx graph and compiles nothing.
+  fill, ``kernel`` runs per source, and ``reference`` walks the
+  networkx graph and compiles nothing.
 
 Every engine yields the same ``weight``/``parent`` maps, insertion order
 included, so which engine filled a tree never shows in a scheme.

@@ -56,9 +56,9 @@ The engine only runs when telemetry is off and no packet-trace capture is
 active (:mod:`repro.routing.query_engine` gates this): traces and
 per-pair histograms need hop-level fidelity only the reference loop has.
 
-Spawn workers attach the parent's compiled tables zero-copy through
-``multiprocessing.shared_memory`` (:func:`export_shared_query` /
-:func:`attach_shared_query`), mirroring :mod:`repro.paths.batch`.
+Spawn workers attach the parent's compiled tables zero-copy over
+:mod:`repro.shared_arrays` (:func:`export_shared_query` /
+:func:`attach_shared_query`), like :mod:`repro.paths.batch`.
 """
 
 from __future__ import annotations
@@ -66,32 +66,24 @@ from __future__ import annotations
 import weakref
 from typing import Dict, List, Optional, Tuple
 
-try:  # numpy is the repro[fast] optional extra
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on minimal installs
-    _np = None
-
+from repro import shared_arrays
 from repro.exceptions import ReproError
 from repro.routing.cowen import CowenScheme
 from repro.routing.destination_table import DestinationTableScheme
 from repro.routing.pair_table import PairTableScheme
 from repro.routing.query_engine import count_query_fallback, note_batch_shard
 from repro.routing.tree_routing import TreeRoutingScheme
+from repro.shared_arrays import np as _np
+from repro.shared_arrays import numpy_available
 
 __all__ = [
     "CompiledQuery",
     "attach_shared_query",
-    "close_shared_query",
     "compile_query",
     "evaluate_shard",
     "export_shared_query",
     "numpy_available",
 ]
-
-
-def numpy_available() -> bool:
-    """Whether the vectorized query engine can run at all."""
-    return _np is not None
 
 
 #: Per-pair walk outcome codes.
@@ -151,7 +143,7 @@ def compile_query(scheme) -> Optional["CompiledQuery"]:
     routing function, and bit-identity trumps coverage).  Results are
     memoized per scheme instance.
     """
-    if _np is None:
+    if not numpy_available():
         return None
     cached = _CACHE.get(scheme)
     if cached is not None:
@@ -193,6 +185,22 @@ def _table_fingerprint(scheme) -> int:
     return 0
 
 
+def _walk_codecs(algebra, n: int):
+    """``(key_fn, decode)`` at the route loop's hop budget, or None.
+
+    None unless the algebra's integer keys are exactly additive there.
+    """
+    walk_hops = 4 * n + 8
+    if (algebra.integer_key_bound(walk_hops) is None
+            or not algebra.integer_key_additive(walk_hops)):
+        return None
+    key_fn = algebra.integer_key_fn(walk_hops)
+    decode = algebra.integer_key_weight_fn(walk_hops)
+    if key_fn is None or decode is None:
+        return None
+    return key_fn, decode
+
+
 def _compile(scheme) -> Optional["CompiledQuery"]:
     graph = scheme.graph
     if graph.is_directed():
@@ -200,15 +208,10 @@ def _compile(scheme) -> Optional["CompiledQuery"]:
     n = graph.number_of_nodes()
     if n == 0:
         return None
-    algebra = scheme.algebra
-    walk_hops = 4 * n + 8
-    bound = algebra.integer_key_bound(walk_hops)
-    if bound is None or not algebra.integer_key_additive(walk_hops):
+    codecs = _walk_codecs(scheme.algebra, n)
+    if codecs is None:
         return None
-    key_fn = algebra.integer_key_fn(walk_hops)
-    decode = algebra.integer_key_weight_fn(walk_hops)
-    if key_fn is None or decode is None:
-        return None
+    key_fn, decode = codecs
 
     nodes = list(graph.nodes())
     node_index = {node: i for i, node in enumerate(nodes)}
@@ -572,7 +575,7 @@ def evaluate_shard(algebra, scheme, oracle, pairs):
     accounting matches the reference); pairs the vectorized walk cannot
     replicate bit-for-bit are replayed through ``scheme.route``.
     """
-    if _np is None:
+    if not numpy_available():
         count_query_fallback("numpy-missing", pairs=len(pairs))
         return None
     if algebra is not getattr(scheme, "algebra", None):
@@ -847,112 +850,48 @@ def _assemble(algebra, scheme, tables, routed_pairs, preferred, status,
 # ---------------------------------------------------------------------------
 
 
-def export_shared_query(tables: "CompiledQuery"):
-    """Copy the compiled query arrays into shared-memory segments.
+def export_shared_query(tables: Optional["CompiledQuery"]):
+    """Export the compiled query arrays through :mod:`repro.shared_arrays`.
 
     Returns ``(handles, descriptor)``; the caller owns the handles and
-    must :func:`close_shared_query` them with ``unlink=True`` once every
-    consumer is done.  ``(None, None)`` when shared memory is
-    unavailable — workers then compile their own tables, merely slower.
-    Mirrors :func:`repro.paths.batch.export_shared`.
+    closes them with :func:`repro.shared_arrays.close` (``unlink=True``)
+    once every consumer is done.  ``(None, None)`` when there are no
+    tables or shared memory is unavailable.
     """
-    if tables is None or _np is None:
+    if tables is None:
         return None, None
-    try:
-        from multiprocessing import shared_memory
-    except Exception:  # pragma: no cover - platform without shm
+    handles, arrays = shared_arrays.export(tables.arrays)
+    if handles is None:
         return None, None
-    handles = []
-    descriptor = {"kind": tables.kind, "identity": tables.identity_decode,
-                  "fingerprint": tables.fingerprint, "arrays": {}}
-    try:
-        for name, array in tables.arrays.items():
-            segment = shared_memory.SharedMemory(create=True,
-                                                 size=max(1, array.nbytes))
-            view = _np.ndarray(array.shape, dtype=array.dtype,
-                               buffer=segment.buf)
-            view[:] = array
-            handles.append(segment)
-            descriptor["arrays"][name] = (segment.name, tuple(array.shape),
-                                          str(array.dtype))
-    except Exception:
-        close_shared_query(handles, unlink=True)
-        return None, None
-    return handles, descriptor
+    return handles, {"kind": tables.kind, "identity": tables.identity_decode,
+                     "fingerprint": tables.fingerprint, "arrays": arrays}
 
 
 def attach_shared_query(scheme, descriptor) -> bool:
-    """Adopt exported query tables in a worker process, zero-copy.
+    """Seed the compile cache for *scheme* from exported query tables.
 
-    Maps each segment, wraps it in a numpy view, rebuilds the key codecs
-    from the worker's own unpickled algebra, and seeds the compile cache
-    for *scheme* — this worker's shards then read the parent's arrays
-    instead of re-deriving them.  The handles are pinned on the
-    :class:`CompiledQuery` so the buffers outlive every view; the
-    *parent* owns the segments' lifetime.  Returns False (attaching
-    nothing) on any failure.
+    The key codecs come from the worker's own unpickled algebra, and the
+    tables are adopted only when their fingerprint matches *scheme*.  The
+    handles are pinned on the :class:`CompiledQuery` so the buffers
+    outlive every view.  Returns False (attaching nothing) on any failure.
     """
-    if _np is None or not descriptor:
-        return False
-    try:
-        from multiprocessing import shared_memory
-    except Exception:  # pragma: no cover - platform without shm
+    if not descriptor or descriptor["fingerprint"] != _table_fingerprint(scheme):
         return False
     graph = scheme.graph
-    algebra = scheme.algebra
-    walk_hops = 4 * graph.number_of_nodes() + 8
     try:
-        bound = algebra.integer_key_bound(walk_hops)
-        if bound is None or not algebra.integer_key_additive(walk_hops):
-            return False
-        key_fn = algebra.integer_key_fn(walk_hops)
-        decode = algebra.integer_key_weight_fn(walk_hops)
+        codecs = _walk_codecs(scheme.algebra, graph.number_of_nodes())
     except Exception:
         return False
-    if key_fn is None or decode is None:
+    attached = shared_arrays.attach(descriptor["arrays"]) if codecs else None
+    if attached is None:
         return False
-    handles = []
-    arrays = {}
-    try:
-        for name, (segment_name, shape, dtype) in descriptor["arrays"].items():
-            segment = shared_memory.SharedMemory(name=segment_name)
-            handles.append(segment)
-            arrays[name] = _np.ndarray(tuple(shape), dtype=_np.dtype(dtype),
-                                       buffer=segment.buf)
-    except Exception:
-        close_shared_query(handles, unlink=False)
-        return False
-    fingerprint = descriptor.get("fingerprint", 0)
-    if fingerprint != _table_fingerprint(scheme):
-        # The worker's unpickled scheme does not match the exported
-        # tables (should not happen; compile locally instead).
-        close_shared_query(handles, unlink=False)
-        return False
+    handles, arrays = attached
     nodes = list(graph.nodes())
-    tables = CompiledQuery(
+    _CACHE[scheme] = CompiledQuery(
         kind=descriptor["kind"], nodes=nodes,
         node_index={node: i for i, node in enumerate(nodes)},
-        identity_decode=descriptor["identity"], key_fn=key_fn,
-        decode=decode, arrays=arrays, fingerprint=fingerprint,
-        shm_handles=handles,
+        identity_decode=descriptor["identity"], key_fn=codecs[0],
+        decode=codecs[1], arrays=arrays,
+        fingerprint=descriptor["fingerprint"], shm_handles=handles,
     )
-    try:
-        _CACHE[scheme] = tables
-    except TypeError:  # pragma: no cover - unweakrefable scheme
-        close_shared_query(handles, unlink=False)
-        return False
     return True
-
-
-def close_shared_query(handles, unlink: bool) -> None:
-    """Close (and with *unlink*, destroy) exported shared-memory segments."""
-    for segment in handles or ():
-        try:
-            segment.close()
-        except Exception:
-            pass
-        if unlink:
-            try:
-                segment.unlink()
-            except Exception:
-                pass

@@ -21,17 +21,17 @@ keep their exact per-hop semantics.  Every such step-down is counted on
 ``query_engine.batch_fallbacks`` (tagged with a reason) and on the
 process-local stats served to ``repro profile``'s ``query`` block.
 
-Mirrors :func:`repro.paths.kernel.resolve_engine`: explicit argument >
+Like :func:`repro.paths.kernel.resolve_engine`, the choice goes through
+:func:`repro.choices.resolve_choice`: explicit argument >
 ``REPRO_QUERY_ENGINE`` environment > default, with a one-time
 ``RuntimeWarning`` on unrecognized environment values.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from typing import Dict, Optional
 
+from repro.choices import resolve_choice
 from repro.obs.metrics import enabled as _telemetry_enabled
 from repro.obs.metrics import metrics as _telemetry
 
@@ -49,9 +49,6 @@ _QUERY_ALIASES = {
     "seed": "reference",
 }
 
-#: Environment values already warned about (one warning per value per process).
-_WARNED_QUERY_VALUES: set = set()
-
 #: Process-local engine usage counters.  Unlike the telemetry registry these
 #: are always on (they cost one dict update per *shard*, not per pair) —
 #: the batch engine only runs with telemetry disabled, so a metric-only
@@ -68,34 +65,11 @@ def resolve_query_engine(engine: Optional[str] = None) -> str:
     """The canonical query-engine choice: explicit arg > environment > default.
 
     Returns ``"batch"`` (vectorized shard evaluation where eligible,
-    reference otherwise) or ``"reference"`` (the seed per-pair loop).  An
-    unrecognized *explicit* argument raises ``ValueError``; an
-    unrecognized environment value applies the default ``batch`` after a
-    one-time ``RuntimeWarning`` naming the bad value — a typo in
-    ``REPRO_QUERY_ENGINE`` must not silently benchmark the wrong engine.
+    reference otherwise) or ``"reference"`` (the seed per-pair loop).
+    Bad values are handled by :func:`repro.choices.resolve_choice`.
     """
-    if engine is None:
-        raw = os.environ.get(QUERY_ENGINE_ENV, "")
-        value = raw.strip().lower()
-        resolved = _QUERY_ALIASES.get(value)
-        if resolved is None:
-            if value not in _WARNED_QUERY_VALUES:
-                _WARNED_QUERY_VALUES.add(value)
-                warnings.warn(
-                    f"unrecognized {QUERY_ENGINE_ENV} value {raw.strip()!r}; "
-                    f"using the default engine 'batch' "
-                    f"(recognized: batch, reference)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            return "batch"
-        return resolved
-    value = engine.strip().lower()
-    if value not in _QUERY_ALIASES:
-        raise ValueError(
-            f"unknown query engine {engine!r}; pick one of batch, reference"
-        )
-    return _QUERY_ALIASES[value]
+    return resolve_choice(engine, QUERY_ENGINE_ENV, _QUERY_ALIASES,
+                          "query engine")
 
 
 def count_query_fallback(reason: str, pairs: int = 0) -> None:

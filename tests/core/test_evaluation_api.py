@@ -1,4 +1,4 @@
-"""The PR 2 evaluation API: options, facade, shim, seeds, oracle cache."""
+"""The evaluation API: options, facade, signature, seeds, oracle cache."""
 
 import random
 
@@ -93,21 +93,14 @@ class TestEvaluationOptions:
 
 
 class TestDeprecationShim:
-    def test_legacy_kwargs_warn_and_match(self):
-        graph, algebra, scheme = _instance()
-        pairs = sample_pairs(graph)[:10]
-        with pytest.warns(DeprecationWarning, match="EvaluationOptions"):
-            legacy = evaluate_scheme(graph, algebra, scheme, pairs=pairs)
-        modern = evaluate_scheme(graph, algebra, scheme,
-                                 options=EvaluationOptions(pairs=pairs))
-        assert legacy == modern
-
-    def test_legacy_positional_pairs_warn(self):
+    def test_legacy_pairs_keyword_raises(self):
+        # The pre-2.0 keyword arguments are gone: wrap them in options.
         graph, algebra, scheme = _instance()
         pairs = sample_pairs(graph)[:4]
-        with pytest.warns(DeprecationWarning):
-            report = evaluate_scheme(graph, algebra, scheme, pairs)
-        assert report.pairs == len(pairs)
+        with pytest.raises(TypeError):
+            evaluate_scheme(graph, algebra, scheme, pairs=pairs)
+        with pytest.raises(TypeError, match="EvaluationOptions"):
+            evaluate_scheme(graph, algebra, scheme, pairs)
 
     def test_options_accepted_positionally(self):
         graph, algebra, scheme = _instance()

@@ -210,11 +210,11 @@ class TestStartMethodResolution:
         import multiprocessing
         import warnings
 
-        from repro.core import parallel as parallel_mod
+        from repro import choices
         from repro.core.parallel import START_METHOD_ENV, _start_method
 
         monkeypatch.setenv(START_METHOD_ENV, "hyperthread")
-        monkeypatch.setattr(parallel_mod, "_WARNED_START_METHODS", set())
+        monkeypatch.setattr(choices, "_WARNED", set())
         expected = ("fork" if "fork" in multiprocessing.get_all_start_methods()
                     else None)
         with pytest.warns(RuntimeWarning, match="hyperthread"):
@@ -227,11 +227,11 @@ class TestStartMethodResolution:
     def test_valid_env_value_does_not_warn(self, monkeypatch):
         import warnings
 
-        from repro.core import parallel as parallel_mod
+        from repro import choices
         from repro.core.parallel import START_METHOD_ENV, _start_method
 
         monkeypatch.setenv(START_METHOD_ENV, "spawn")
-        monkeypatch.setattr(parallel_mod, "_WARNED_START_METHODS", set())
+        monkeypatch.setattr(choices, "_WARNED", set())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _start_method() == "spawn"

@@ -40,6 +40,8 @@ from repro.obs.metrics import disable as telemetry_disable
 from repro.obs.metrics import enable as telemetry_enable
 from repro.obs.metrics import registry as telemetry_registry
 from repro.obs.metrics import reset as telemetry_reset
+from repro.paths import batch
+from repro.paths.kernel import ENGINE_ENV
 
 
 @pytest.fixture(autouse=True)
@@ -79,6 +81,32 @@ def _sp_instance(n=16, seed=1):
 
 def test_env_override_selects_spawn():
     assert _start_method() == "spawn"
+
+
+@pytest.mark.skipif(not batch.numpy_available(),
+                    reason="numpy not installed (the repro[fast] optional extra)")
+@pytest.mark.parametrize("engine,exported", [
+    ("", True), ("batch", True), ("kernel", False), ("reference", False)])
+def test_batch_plan_export_follows_the_bulk_engine(monkeypatch, engine,
+                                                   exported):
+    """Worker bulk fills batch under the default engine too, so the parent
+    exports the batch plan unless a per-source engine is forced."""
+    monkeypatch.setenv(ENGINE_ENV, engine)
+    graph, algebra, scheme = _sp_instance()
+    descriptors = []
+    real_export = batch.export_shared
+
+    def spy(compiled, plan_algebra):
+        handles, descriptor = real_export(compiled, plan_algebra)
+        descriptors.append(descriptor)
+        return handles, descriptor
+
+    monkeypatch.setattr(batch, "export_shared", spy)
+    serial = evaluate_scheme(graph, algebra, scheme)
+    parallel = evaluate_scheme(
+        graph, algebra, scheme, options=EvaluationOptions(workers=2))
+    assert parallel == serial
+    assert (descriptors != [] and None not in descriptors) == exported
 
 
 class TestSpawnMergeExactness:

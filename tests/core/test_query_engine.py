@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
+from repro import choices, shared_arrays
 from repro.algebra.catalog import MinHop, ShortestPath, UsablePath, WidestPath
 from repro.core.parallel import START_METHOD_ENV
 from repro.core.simulate import (
@@ -176,7 +177,7 @@ class TestResolver:
 
     def test_unknown_env_value_warns_once_then_defaults(self, monkeypatch):
         monkeypatch.setenv(query_engine.QUERY_ENGINE_ENV, "warp-speed")
-        query_engine._WARNED_QUERY_VALUES.discard("warp-speed")
+        choices._WARNED.discard((query_engine.QUERY_ENGINE_ENV, "warp-speed"))
         with pytest.warns(RuntimeWarning, match="REPRO_QUERY_ENGINE"):
             assert query_engine.resolve_query_engine() == "batch"
         with warnings.catch_warnings():
@@ -292,7 +293,7 @@ class TestSharedQueryTables:
             del attached, view
             gc.collect()
         finally:
-            compiled_query.close_shared_query(handles, unlink=True)
+            shared_arrays.close(handles, unlink=True)
 
     @needs_numpy
     def test_spawn_workers_match_serial_reference(self, monkeypatch):

@@ -16,6 +16,7 @@ from repro.algebra.catalog import ShortestPath
 from repro.core.compiler import build_scheme
 from repro.core.simulate import (
     EvaluationOptions,
+    PreferredWeightOracle,
     oracle_cache,
     run_experiment,
 )
@@ -29,10 +30,12 @@ from repro.obs.metrics import metrics as telemetry_metrics
 from repro.obs.metrics import reset as telemetry_reset
 from repro.paths import batch
 from repro.paths.dijkstra import preferred_path_tree
-from repro.paths.kernel import ENGINE_ENV
+from repro.paths.kernel import ENGINE_ENV, compile_graph, kernel_tree
 from repro.paths.store import BATCH_MIN_SOURCES, TreeStore
 from repro.routing.cowen import CowenScheme
 
+#: ``kernel-heap`` builds the expected trees with the kernel's heap
+#: fallback and the scheme under the default engine.
 ENGINES = ["", "kernel", "kernel-heap", "batch", "reference"]
 
 needs_numpy = pytest.mark.skipif(
@@ -93,9 +96,15 @@ def test_run_experiment_builds_each_tree_once(monkeypatch, mode, engine):
 @pytest.mark.parametrize("engine", ENGINES)
 def test_cowen_trees_match_per_node_build(monkeypatch, engine):
     graph, algebra = _instance(n=40, seed=5)
-    expected = {node: preferred_path_tree(graph, algebra, node,
-                                          engine="kernel")
-                for node in graph.nodes()}
+    if engine == "kernel-heap":
+        compiled = compile_graph(graph)
+        expected = {node: kernel_tree(compiled, algebra, node, buckets=False)
+                    for node in graph.nodes()}
+        engine = ""
+    else:
+        expected = {node: preferred_path_tree(graph, algebra, node,
+                                              engine="kernel")
+                    for node in graph.nodes()}
     monkeypatch.setenv(ENGINE_ENV, engine)
     for scheme in (CowenScheme(graph, algebra, rng=random.Random(0)),
                    build_scheme(graph, algebra, mode="compact", rng=0)):
@@ -125,8 +134,8 @@ def test_default_bulk_fill_crossover(monkeypatch):
 
 
 @needs_numpy
-@pytest.mark.parametrize("engine,batched", [("kernel", 0), ("kernel-heap", 0),
-                                            ("reference", 0), ("batch", 1)])
+@pytest.mark.parametrize("engine,batched", [("kernel", 0), ("reference", 0),
+                                            ("batch", 1)])
 def test_forced_engine_keeps_its_meaning(monkeypatch, engine, batched):
     monkeypatch.setenv(ENGINE_ENV, engine)
     graph, algebra = _instance(n=24)
@@ -135,6 +144,19 @@ def test_forced_engine_keeps_its_meaning(monkeypatch, engine, batched):
     TreeStore(graph, algebra).ensure_sources(graph.nodes())
     expected = batched * (1 + graph.number_of_nodes())
     assert _counters().get("path_engine.batch_sources", 0) == expected
+
+
+def test_stats_report_the_engine_that_fills_bulk_trees(monkeypatch):
+    monkeypatch.delenv(ENGINE_ENV, raising=False)
+    graph, algebra = _instance(n=16)
+    oracle = PreferredWeightOracle(graph, algebra)
+    assert oracle.stats()["path_engine"] == "auto"
+    # a store's own engine wins over the environment
+    oracle.path_engine = "kernel"
+    monkeypatch.setenv(ENGINE_ENV, "batch")
+    assert oracle.stats()["path_engine"] == "kernel"
+    oracle.path_engine = None
+    assert oracle.stats()["path_engine"] == "batch"
 
 
 def test_build_offer_is_not_adopted_after_the_graph_changes():

@@ -21,6 +21,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import shared_arrays
 from repro.algebra.base import PHI
 from repro.algebra.catalog import MinHop, ShortestPath, UsablePath, WidestPath
 from repro.algebra.lexicographic import (
@@ -146,7 +147,7 @@ class TestEligibility:
     def test_numpy_absent_disables_plans(self, monkeypatch):
         algebra = ShortestPath(9)
         graph, compiled = self._compiled(algebra)
-        monkeypatch.setattr(batch, "_np", None)
+        monkeypatch.setattr(shared_arrays, "np", None)
         assert not batch.numpy_available()
         assert batch.batch_plan(compiled, algebra) is None
 
@@ -165,7 +166,7 @@ class TestEligibility:
         algebra = ShortestPath(9)
         graph, compiled = self._compiled(algebra)
         monkeypatch.setenv(ENGINE_ENV, "batch")
-        monkeypatch.setattr(batch, "_np", None)
+        monkeypatch.setattr(shared_arrays, "np", None)
         tree = preferred_path_tree(graph, algebra, 0, compiled=compiled)
         reference = preferred_path_tree(graph, algebra, 0, engine="reference")
         assert tree.weight == reference.weight
@@ -288,13 +289,18 @@ class TestSharedMemory:
             # a pickled copy simulates the spawn worker's fresh compiled graph
             worker_copy = pickle.loads(pickle.dumps(compiled))
             assert batch.attach_shared(worker_copy, algebra, descriptor)
+            # the attached plan keeps the parent's decode shortcut
+            parent_plan = batch.batch_plan(compiled, algebra)
+            assert parent_plan.identity_decode  # shortest-path keys are ints
+            assert (batch.batch_plan(worker_copy, algebra).identity_decode
+                    == parent_plan.identity_decode)
             for root in list(graph.nodes())[:4]:
                 _assert_identical(
                     batch.batch_tree(worker_copy, algebra, root),
                     kernel_tree(compiled, algebra, root),
                 )
         finally:
-            batch.close_shared(handles, unlink=True)
+            shared_arrays.close(handles, unlink=True)
 
     def test_export_ineligible_returns_none(self):
         algebra = WidestPath(9)

@@ -7,6 +7,7 @@ import warnings
 import networkx as nx
 import pytest
 
+from repro import choices
 from repro.algebra.catalog import (
     MinHop,
     MostReliablePath,
@@ -142,14 +143,15 @@ class TestEngineResolution:
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV, "reference")
         assert resolve_engine() == "reference"
+        # the heap frontier is no engine spelling: it warns and defaults
         monkeypatch.setenv(ENGINE_ENV, "kernel-heap")
-        assert resolve_engine() == "kernel-heap"
+        monkeypatch.setattr(choices, "_WARNED", set())
+        with pytest.warns(RuntimeWarning, match="kernel-heap"):
+            assert resolve_engine() == "kernel"
 
     def test_invalid_env_value_warns_once_and_defaults(self, monkeypatch):
-        from repro.paths import kernel as kernel_mod
-
         monkeypatch.setenv(ENGINE_ENV, "warp-drive")
-        monkeypatch.setattr(kernel_mod, "_WARNED_ENGINE_VALUES", set())
+        monkeypatch.setattr(choices, "_WARNED", set())
         with pytest.warns(RuntimeWarning, match="warp-drive"):
             assert resolve_engine() == "kernel"
         # one warning per bad value per process: the repeat is silent
@@ -169,12 +171,14 @@ class TestEngineResolution:
         algebra = ShortestPath(9)
         graph = _weighted_er(10, 6, algebra)
         trees = {}
-        for engine in ("kernel", "kernel-heap", "reference"):
+        for engine in ("kernel", "reference"):
             monkeypatch.setenv(ENGINE_ENV, engine)
             trees[engine] = preferred_path_tree(graph, algebra, 0)
+        heap = kernel_tree(compile_graph(graph, WEIGHT_ATTR), algebra, 0,
+                           buckets=False)
         assert trees["kernel"].weight == trees["reference"].weight
         assert trees["kernel"].parent == trees["reference"].parent
-        assert trees["kernel-heap"].parent == trees["reference"].parent
+        assert heap.parent == trees["reference"].parent
 
 
 class TestDispatchGuards:

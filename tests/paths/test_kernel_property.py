@@ -4,7 +4,8 @@ The compiled kernel's contract is *bit-identical* results — not just
 equal weights, but the same parent pointers and the same insertion order
 of the ``weight``/``parent`` dicts (the golden-trace harness depends on
 it).  Hypothesis drives random seeded graphs through every engine and
-compares the full :class:`~repro.paths.dijkstra.PathTree` structure.
+compares the full :class:`~repro.paths.dijkstra.PathTree` structure,
+including the kernel's heap frontier (``kernel_tree(..., buckets=False)``).
 """
 
 import random
@@ -18,7 +19,8 @@ from repro.algebra.lexicographic import (
 )
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.weighting import assign_random_weights
-from repro.paths.dijkstra import compile_graph, preferred_path_tree
+from repro.paths.dijkstra import PathTree, compile_graph, preferred_path_tree
+from repro.paths.kernel import kernel_tree
 
 # (factory, needs unsafe): shortest-widest is declared non-isotone — the
 # engines still must agree on whatever generalized Dijkstra computes for
@@ -48,9 +50,12 @@ def test_engines_produce_identical_path_trees(seed, n, algebra_index):
     for root in graph.nodes():
         reference = preferred_path_tree(graph, algebra, root, unsafe=unsafe,
                                         engine="reference")
-        for engine in ("kernel", "kernel-heap"):
-            tree = preferred_path_tree(graph, algebra, root, unsafe=unsafe,
-                                       engine=engine, compiled=compiled)
+        # the kernel's heap fallback, for algebras that cannot bucket
+        run = kernel_tree(compiled, algebra, root, buckets=False)
+        heap = PathTree(root, run.weight, run.parent)
+        kernel = preferred_path_tree(graph, algebra, root, unsafe=unsafe,
+                                     engine="kernel", compiled=compiled)
+        for engine, tree in (("kernel", kernel), ("kernel-heap", heap)):
             assert tree.root == reference.root
             assert tree.weight == reference.weight, (engine, root)
             assert tree.parent == reference.parent, (engine, root)

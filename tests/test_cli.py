@@ -150,9 +150,12 @@ class TestRunTelemetryCommands:
         assert "stragglers:" in out
         assert "shard_heartbeat" in out
 
-    def test_record_run_manifest_contents(self, tmp_path):
+    def test_record_run_manifest_contents(self, tmp_path, monkeypatch):
         import json
 
+        from repro.paths.kernel import ENGINE_ENV
+
+        monkeypatch.delenv(ENGINE_ENV, raising=False)
         run_dir = tmp_path / "run"
         assert main(["evaluate", "widest-path", "--n", "12",
                      "--record-run", str(run_dir)]) == 0
@@ -164,6 +167,8 @@ class TestRunTelemetryCommands:
         assert manifest["report"]["pairs"] == 12 * 11
         assert "metrics" in manifest
         assert "python" in manifest["env"]
+        # the default engine fills bulk trees with batch: report "auto"
+        assert manifest["engine"]["path_engine"] == "auto"
 
     def test_record_run_leaves_telemetry_disabled(self, tmp_path):
         from repro.obs import events as obs_events
