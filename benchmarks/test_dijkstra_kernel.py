@@ -29,7 +29,11 @@ from conftest import record
 from repro.algebra import ShortestPath
 from repro.graphs import assign_random_weights, erdos_renyi
 from repro.graphs.weighting import WEIGHT_ATTR
-from repro.paths.dijkstra import compile_graph, preferred_path_tree
+from repro.paths.dijkstra import (
+    compile_graph,
+    preferred_path_tree,
+    reference_tree,
+)
 from repro.paths.kernel import kernel_tree
 
 N = 1024
@@ -55,20 +59,22 @@ class CountingShortestPath(ShortestPath):
 def _measure(engine, graph, sources):
     """(trees, comparisons, seconds, compiled graph) for one engine.
 
-    ``kernel-heap`` runs the kernel's heap fallback directly.
+    ``reference`` calls the seed engine and ``kernel-heap`` the
+    kernel's heap fallback directly.
     """
     algebra = CountingShortestPath(MAX_WEIGHT)
     compiled = None
     start = time.perf_counter()
-    if engine != "reference":
+    if engine == "reference":
+        trees = [reference_tree(graph, algebra, source) for source in sources]
+    elif engine == "kernel-heap":
         compiled = compile_graph(graph, WEIGHT_ATTR)
-    if engine == "kernel-heap":
         trees = [kernel_tree(compiled, algebra, source, buckets=False)
                  for source in sources]
     else:
+        compiled = compile_graph(graph, WEIGHT_ATTR)
         trees = [
-            preferred_path_tree(graph, algebra, source, engine=engine,
-                                compiled=compiled)
+            preferred_path_tree(graph, algebra, source, compiled=compiled)
             for source in sources
         ]
     elapsed = time.perf_counter() - start

@@ -481,8 +481,8 @@ def cmd_profile(args) -> int:
             obs.disable()
     from repro.paths.kernel import resolve_engine
 
-    # The path-engine view: which engine resolved ("auto" by default:
-    # batch for bulk fills, kernel for single sources), plus its run
+    # The path-engine view: the engine the code picks ("auto": batch for
+    # large enough bulk fills, kernel for single sources), plus its run
     # counters (relaxations / heap_pushes / stale_pops / bucket_engaged /
     # compile_graph_calls) filtered out of the merged metric snapshot.
     # See docs/PERFORMANCE.md.
@@ -494,7 +494,7 @@ def cmd_profile(args) -> int:
     # The batch sub-view: whether the vectorized engine could run at all
     # (numpy is an optional extra) plus its sweep counters
     # (batch_sweeps / batch_sources / batch_levels / batch_relaxations /
-    # batch_improvements / batch_fallbacks).
+    # batch_improvements).
     from repro.paths import batch as _batch
 
     batch_counters = {

@@ -48,7 +48,7 @@ exceeding the per-shard ``REPRO_SHARD_TIMEOUT`` deadline) costs only the
 shards that were actually in flight.  Every already-completed
 :class:`~repro.core.simulate.ShardResult` is salvaged, the pool is
 rebuilt, and only the lost shards are re-issued — with bounded retries
-(``REPRO_SHARD_RETRIES``, default 2) per shard.  Retried shards are
+(:data:`SHARD_RETRIES`, 2) per shard.  Retried shards are
 deterministic and the origin-index merge is order-restoring, so a
 recovered run's merged report stays bit-identical to an unfaulted serial
 run.  Workers announce each shard start on a crash-safe pipe, so the
@@ -75,6 +75,7 @@ import pickle
 import queue as _queue_mod
 import threading
 import time
+import warnings
 from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures import wait as _cf_wait
 from concurrent.futures.process import BrokenProcessPool
@@ -82,7 +83,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import shared_arrays
-from repro.choices import resolve_choice
 from repro.core import simulate as _simulate
 from repro.core.simulate import ShardResult, route_shard
 from repro.obs import events as _events
@@ -96,9 +96,7 @@ from repro.obs.metrics import (
     swap_registry as _swap_registry,
 )
 from repro.paths import batch as _batch
-from repro.paths.kernel import resolve_engine
 from repro.routing import compiled_query as _compiled_query
-from repro.routing.query_engine import resolve_query_engine
 
 #: Shards per worker when ``shard_size`` is not pinned: a few per worker
 #: smooths out per-shard cost variance without drowning in task overhead.
@@ -107,11 +105,11 @@ SHARDS_PER_WORKER = 4
 #: Environment variable forcing the pool start method (fork/spawn/forkserver).
 START_METHOD_ENV = "REPRO_START_METHOD"
 
-#: Environment variable bounding re-issues per lost shard.
-SHARD_RETRIES_ENV = "REPRO_SHARD_RETRIES"
+#: ``REPRO_START_METHOD`` values already warned about.
+_WARNED_START_METHODS: set = set()
 
 #: Re-issues granted to each lost shard before the serial fallback fires.
-DEFAULT_SHARD_RETRIES = 2
+SHARD_RETRIES = 2
 
 #: Environment variable setting the per-shard timeout in seconds
 #: (unset/0 = no timeout, the default).
@@ -119,20 +117,6 @@ SHARD_TIMEOUT_ENV = "REPRO_SHARD_TIMEOUT"
 
 #: How often the parent polls in-flight futures when a timeout is set.
 _POLL_INTERVAL_S = 0.05
-
-
-def shard_retry_limit(environ: Optional[Dict[str, str]] = None) -> int:
-    """Re-issues allowed per lost shard (``REPRO_SHARD_RETRIES``, >= 0)."""
-    environ = os.environ if environ is None else environ
-    raw = str(environ.get(SHARD_RETRIES_ENV, "")).strip()
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            return DEFAULT_SHARD_RETRIES
-        if value >= 0:
-            return value
-    return DEFAULT_SHARD_RETRIES
 
 
 def shard_timeout(environ: Optional[Dict[str, str]] = None) -> Optional[float]:
@@ -157,7 +141,7 @@ class FallbackInfo:
     (spawn payload never shipped), ``pool-failure`` (the pool broke
     before any shard could run, rebuilding included), and
     ``retry-exhausted`` (per-shard recovery ran and *gave up* — some
-    shard kept dying past ``REPRO_SHARD_RETRIES``).  A run that lost
+    shard kept dying past :data:`SHARD_RETRIES`).  A run that lost
     shards but recovered has **no** fallback; its story lives in
     :attr:`ParallelRunInfo.recovery` instead.
     """
@@ -201,22 +185,6 @@ def last_run_info() -> Optional[ParallelRunInfo]:
 def last_fallback() -> Optional[FallbackInfo]:
     """The fallback (reason + cause) of the most recent parallel run, if any."""
     return _LAST_RUN.fallback if _LAST_RUN is not None else None
-
-
-def shard_pairs(pairs: Sequence[Tuple], workers: int,
-                shard_size: Optional[int] = None) -> List[List[Tuple]]:
-    """Split *pairs* into contiguous shards (the pre-PR-4 strategy).
-
-    Kept for callers that need plain contiguous slicing; the evaluation
-    engine itself shards with :func:`shard_pairs_by_source` so workers
-    can slice oracle construction per shard.
-    """
-    pairs = list(pairs)
-    if not pairs:
-        return []
-    if shard_size is None:
-        shard_size = max(1, math.ceil(len(pairs) / max(1, workers * SHARDS_PER_WORKER)))
-    return [pairs[i:i + shard_size] for i in range(0, len(pairs), shard_size)]
 
 
 def shard_pairs_by_source(pairs: Sequence[Tuple], workers: int,
@@ -268,13 +236,28 @@ def shard_pairs_by_source(pairs: Sequence[Tuple], workers: int,
 def _start_method() -> Optional[str]:
     """The pool start method: ``REPRO_START_METHOD`` when valid, else fork.
 
-    Resolved by :func:`repro.choices.resolve_choice`, so an unrecognized
-    value warns once and applies the default.
+    An unrecognized value applies the default after one
+    ``RuntimeWarning`` per value per process, so a typo never silently
+    runs the wrong start method.
     """
     methods = multiprocessing.get_all_start_methods()
-    aliases = {"": "fork" if "fork" in methods else None}
-    aliases.update((method, method) for method in methods)
-    return resolve_choice(None, START_METHOD_ENV, aliases, "start method")
+    default = "fork" if "fork" in methods else None
+    raw = os.environ.get(START_METHOD_ENV, "").strip()
+    value = raw.lower()
+    if not value:
+        return default
+    if value in methods:
+        return value
+    if value not in _WARNED_START_METHODS:
+        _WARNED_START_METHODS.add(value)
+        warnings.warn(
+            f"unrecognized {START_METHOD_ENV} value {raw!r}; using the "
+            f"default start method {default!r} (recognized: "
+            f"{', '.join(methods)})",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return default
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +457,11 @@ def _run_pool_round(shards: List[List[Tuple]], todo: List[int],
     executor = ProcessPoolExecutor(max_workers=workers, mp_context=context,
                                    initializer=initializer,
                                    initargs=initargs + (started_queue,))
+    # Join the pool once every future has resolved: a worker still
+    # starting when the last shard finished would otherwise come up after
+    # the parent released the pool's semaphores and die unpickling them.
+    # Only a killed pool is left without waiting.
+    join = False
     try:
         futures = {
             executor.submit(_run_shard,
@@ -515,9 +503,10 @@ def _run_pool_round(shards: List[List[Tuple]], todo: List[int],
                             _classify(shard_id)
                     for future in pending:
                         _classify(futures[future])
-                    pending = set()
+                    return results, sorted(lost), sorted(displaced), cause
+        join = True
     finally:
-        executor.shutdown(wait=False, cancel_futures=True)
+        executor.shutdown(wait=join, cancel_futures=True)
     return results, sorted(lost), sorted(displaced), cause
 
 
@@ -529,7 +518,7 @@ def _execute_shards(shards: List[List[Tuple]], workers: int, context,
     The fault-tolerance core: on a worker death or per-shard timeout the
     already-completed results are kept, the pool is rebuilt, and only the
     lost shards are re-issued with their attempt number bumped (bounded
-    by ``REPRO_SHARD_RETRIES``).  Emits ``shard_lost`` / ``pool_rebuilt``
+    by :data:`SHARD_RETRIES`).  Emits ``shard_lost`` / ``pool_rebuilt``
     / ``shard_retried`` events and the ``parallel.shard_retries`` /
     ``parallel.pool_rebuilds`` counters; the aggregate lands on
     ``run_info.recovery``.  Raises :class:`_RetriesExhausted` when a
@@ -537,7 +526,6 @@ def _execute_shards(shards: List[List[Tuple]], workers: int, context,
     twice in a row before any shard runs — the caller maps both onto the
     full-serial last-resort fallback.
     """
-    retries = shard_retry_limit()
     timeout = shard_timeout()
     events_on = _events.enabled()
     telemetry = _telemetry()
@@ -574,7 +562,7 @@ def _execute_shards(shards: List[List[Tuple]], workers: int, context,
                 _events.emit("shard_lost", shard=shard_id, cause=cause,
                              attempt=attempts[shard_id])
             attempts[shard_id] += 1
-            if attempts[shard_id] > retries:
+            if attempts[shard_id] > SHARD_RETRIES:
                 run_info.recovery = _recovery_summary(
                     lost_total, displaced_total, rebuilds, recovered=False)
                 raise _RetriesExhausted(shard_id, attempts[shard_id], cause)
@@ -708,14 +696,14 @@ def _record_shard_timings(shards: List[List[Tuple]],
     """Build the per-shard timing table and flag stragglers.
 
     Every shard duration feeds the ``parallel.shard_seconds`` histogram;
-    shards exceeding ``factor x median`` (``REPRO_STRAGGLER_FACTOR``,
-    default 4) are flagged in the run info and counted on the
+    shards exceeding ``factor x median`` (``DEFAULT_STRAGGLER_FACTOR``,
+    4) are flagged in the run info and counted on the
     ``parallel.stragglers`` metric — the signal the ROADMAP's multi-host
     backend will act on by re-issuing slow shards.
     """
     durations = [result.duration_s or 0.0 for result in results]
-    factor = _events.straggler_factor()
-    min_duration = _events.straggler_min_duration()
+    factor = _events.DEFAULT_STRAGGLER_FACTOR
+    min_duration = _events.DEFAULT_STRAGGLER_MIN_S
     median, flagged = _events.detect_stragglers(durations, factor=factor,
                                                 min_duration=min_duration)
     flagged_set = set(flagged)
@@ -839,15 +827,13 @@ def evaluate_sharded(graph, algebra, scheme, oracle, pairs: Sequence[Tuple],
             compiled_getter = getattr(oracle, "compiled_graph", None)
             if compiled_getter is not None:
                 compiled = compiled_getter()
-            # When worker bulk fills may batch (the default engine or a
-            # forced batch), export the plan's int arrays through shared
-            # memory: every worker (pool rebuilds included — they reuse
-            # these initargs) maps one copy instead of materializing its
-            # own.  The parent owns the segments and unlinks them in the
-            # finally below, after the last round.
+            # Worker bulk fills may batch, so export the plan's int arrays
+            # through shared memory: every worker (pool rebuilds included
+            # — they reuse these initargs) maps one copy instead of
+            # materializing its own.  The parent owns the segments and
+            # unlinks them in the finally below, after the last round.
             batch_descriptor = None
-            if (compiled is not None
-                    and resolve_engine(bulk=True) in ("auto", "batch")):
+            if compiled is not None:
                 handles, batch_descriptor = _batch.export_shared(compiled,
                                                                  algebra)
                 shared_handles.extend(handles or ())
@@ -855,7 +841,7 @@ def evaluate_sharded(graph, algebra, scheme, oracle, pairs: Sequence[Tuple],
             # tables — only when the engine will actually run (telemetry
             # forces the reference loop for trace fidelity).
             query_descriptor = None
-            if not telemetry and resolve_query_engine() == "batch":
+            if not telemetry:
                 handles, query_descriptor = _compiled_query.export_shared_query(
                     _compiled_query.compile_query(scheme))
                 shared_handles.extend(handles or ())

@@ -13,9 +13,9 @@ The public evaluation API (PR 2) is keyword-only behind
 
 or through the one-call facade :func:`run_experiment`, which builds the
 prescribed scheme and evaluates it under a single seed.  The pre-PR-2
-signature (``pairs=``, ``oracle=``, ``max_k=``, ``trace_limit=`` passed
-directly) keeps working through a shim that emits ``DeprecationWarning``;
-see ``docs/EVALUATION_API.md`` for the timeline.
+keywords (``pairs=``, ``oracle=``, ``max_k=``, ``trace_limit=`` passed
+directly) were removed in 2.0.0 and raise ``TypeError``; see
+``docs/EVALUATION_API.md``.
 
 Exact oracles are **lazy** (PR 4): :class:`PreferredWeightOracle` builds
 one per-source preferred-path structure on first query, so a sampled
@@ -273,8 +273,7 @@ class PreferredWeightOracle(TreeStore):
     def compiled_graph(self):
         """The oracle's compiled graph for shipping to spawn workers.
 
-        Returns None when the engine never flattens the graph, or when
-        the reference path engine is forced.
+        Returns None when the engine never flattens the graph.
         """
         if self.engine not in ("dijkstra", "shortest-widest"):
             return None
@@ -329,19 +328,6 @@ class PreferredWeightOracle(TreeStore):
         return self._table_for(s).get(t, PHI)
 
     # -- incremental invalidation (the service layer's churn path) --------
-
-    def invalidate_all(self) -> OracleInvalidation:
-        """Drop every memoized structure and the compiled view."""
-        with self._lock:
-            dropped = len(self._tables)
-            self._tables = {}
-            self._parents = {}
-            if self._enum_memo is not None:
-                dropped += len(self._enum_memo)
-                self._enum_memo = {}
-            self._compiled = None
-        return OracleInvalidation(change="all", kept=0, dropped=dropped,
-                                  patched=False)
 
     def invalidate_edge(self, u, v, new_weight=PHI,
                         change: str = "weight") -> OracleInvalidation:
@@ -479,7 +465,7 @@ class PreferredWeightOracle(TreeStore):
 
         return {
             "engine": self.engine,
-            "path_engine": resolve_engine(self.path_engine, bulk=True),
+            "path_engine": resolve_engine(bulk=True),
             "sources_cached": len(self._tables),
             "trees_requested": self.trees_requested,
             "trees_built": self.trees_built,
@@ -873,35 +859,31 @@ def route_shard(algebra: RoutingAlgebra, scheme: RoutingScheme,
         _events.emit("shard_heartbeat", pairs_done=0, pairs_total=len(pairs))
         heartbeat_stride = max(1, len(pairs) // HEARTBEATS_PER_SHARD)
         last_live_heartbeat = time.monotonic()
-    if _query_engine.resolve_query_engine() == "batch":
-        # The vectorized engine cannot reproduce per-hop artifacts (packet
-        # traces, evaluate.hops/pair_seconds histograms), so any run that
-        # records them takes the reference loop; plain throughput runs go
-        # vectorized with per-scheme fallback inside evaluate_shard.
-        if telemetry or _obs_tracing.active_capture() is not None:
-            _query_engine.count_query_fallback("trace-fidelity",
-                                               pairs=len(pairs))
-        else:
-            from repro.routing import compiled_query as _compiled_query
-            batch = _compiled_query.evaluate_shard(algebra, scheme, oracle,
-                                                   pairs)
-            if batch is not None:
-                routed, delivered, optimal, failures, samples = batch
-                if events_on:
-                    # Replicate the reference loop's durable heartbeat
-                    # cadence so the shard's event stream is engine-proof.
-                    for done in range(heartbeat_stride, len(pairs) + 1,
-                                      heartbeat_stride):
-                        _events.emit("shard_heartbeat", pairs_done=done,
-                                     pairs_total=len(pairs))
-                stretch = measure_stretch(algebra, samples,
-                                          scheme_name=scheme.name,
-                                          max_k=max_k)
-                return ShardResult(
-                    routed=routed, delivered=delivered, optimal=optimal,
-                    stretch=stretch, failures=failures, traces=(),
-                    traces_dropped=0,
-                )
+    # The vectorized engine cannot reproduce per-hop artifacts (packet
+    # traces, evaluate.hops/pair_seconds histograms), so any run that
+    # records them takes the reference loop; plain throughput runs go
+    # vectorized with per-scheme fallback inside evaluate_shard.
+    if telemetry or _obs_tracing.active_capture() is not None:
+        _query_engine.count_query_fallback("trace-fidelity", pairs=len(pairs))
+    else:
+        from repro.routing import compiled_query as _compiled_query
+        batch = _compiled_query.evaluate_shard(algebra, scheme, oracle, pairs)
+        if batch is not None:
+            routed, delivered, optimal, failures, samples = batch
+            if events_on:
+                # Replicate the reference loop's durable heartbeat cadence
+                # so the shard's event stream is engine-proof.
+                for done in range(heartbeat_stride, len(pairs) + 1,
+                                  heartbeat_stride):
+                    _events.emit("shard_heartbeat", pairs_done=done,
+                                 pairs_total=len(pairs))
+            stretch = measure_stretch(algebra, samples,
+                                      scheme_name=scheme.name, max_k=max_k)
+            return ShardResult(
+                routed=routed, delivered=delivered, optimal=optimal,
+                stretch=stretch, failures=failures, traces=(),
+                traces_dropped=0,
+            )
     processed = 0
     routed = 0
     delivered = 0

@@ -53,14 +53,8 @@ _TRUE_VALUES = ("1", "true", "yes", "on")
 #: Environment variable that enables the event stream at import time.
 ENV_VAR = "REPRO_EVENTS"
 
-#: Environment variable overriding the straggler threshold factor.
-STRAGGLER_FACTOR_ENV = "REPRO_STRAGGLER_FACTOR"
-
 #: A shard is a straggler when its duration exceeds factor x median.
 DEFAULT_STRAGGLER_FACTOR = 4.0
-
-#: Environment variable overriding the straggler minimum-duration floor.
-STRAGGLER_MIN_ENV = "REPRO_STRAGGLER_MIN_S"
 
 #: Shards faster than this are never stragglers: on a sub-millisecond
 #: smoke run the median is ~0, so ``factor x median`` would flag every
@@ -280,34 +274,6 @@ def emit(kind: str, shard: Optional[int] = None, durable: bool = True,
 # ---------------------------------------------------------------------------
 
 
-def straggler_factor(environ: Optional[Dict[str, str]] = None) -> float:
-    """The configured straggler threshold factor (env override wins)."""
-    environ = os.environ if environ is None else environ
-    raw = str(environ.get(STRAGGLER_FACTOR_ENV, "")).strip()
-    if raw:
-        try:
-            value = float(raw)
-        except ValueError:
-            return DEFAULT_STRAGGLER_FACTOR
-        if value >= 0:
-            return value
-    return DEFAULT_STRAGGLER_FACTOR
-
-
-def straggler_min_duration(environ: Optional[Dict[str, str]] = None) -> float:
-    """The minimum duration (seconds) a straggler must exceed (env wins)."""
-    environ = os.environ if environ is None else environ
-    raw = str(environ.get(STRAGGLER_MIN_ENV, "")).strip()
-    if raw:
-        try:
-            value = float(raw)
-        except ValueError:
-            return DEFAULT_STRAGGLER_MIN_S
-        if value >= 0:
-            return value
-    return DEFAULT_STRAGGLER_MIN_S
-
-
 def detect_stragglers(durations: Sequence[float],
                       factor: Optional[float] = None,
                       min_duration: Optional[float] = None
@@ -315,16 +281,16 @@ def detect_stragglers(durations: Sequence[float],
     """``(median, straggler_indices)`` for per-shard *durations*.
 
     A shard straggles when its duration exceeds ``factor x median`` **and**
-    the absolute floor *min_duration* (``REPRO_STRAGGLER_MIN_S``, default
-    50ms) — without the floor a sub-millisecond smoke run has a near-zero
-    median and every shard gets flagged.  The median is the lower-middle
+    the absolute floor *min_duration* (default 50ms) — without the floor
+    a sub-millisecond smoke run has a near-zero median and every shard
+    gets flagged.  The median is the lower-middle
     element (deterministic, no interpolation).  An empty duration list
     yields ``(0.0, [])``.
     """
     if factor is None:
-        factor = straggler_factor()
+        factor = DEFAULT_STRAGGLER_FACTOR
     if min_duration is None:
-        min_duration = straggler_min_duration()
+        min_duration = DEFAULT_STRAGGLER_MIN_S
     values = [float(d) for d in durations]
     if not values:
         return 0.0, []

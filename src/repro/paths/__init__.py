@@ -13,9 +13,9 @@ from repro.paths.dijkstra import (
     PathTree,
     all_pairs_preferred_weights,
     preferred_path_tree,
+    reference_tree,
 )
 from repro.paths.kernel import (
-    ENGINE_ENV,
     CompiledGraph,
     KernelStats,
     compile_graph,
@@ -60,7 +60,7 @@ __all__ = [
     "PathTree",
     "all_pairs_preferred_weights",
     "preferred_path_tree",
-    "ENGINE_ENV",
+    "reference_tree",
     "CompiledGraph",
     "KernelStats",
     "compile_graph",

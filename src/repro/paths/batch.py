@@ -41,10 +41,9 @@ all of it exactly, per lane:
 
 Eligibility falls back **per algebra**: when the bucket plan is
 ineligible, the key embedding is not exactly additive, or numpy is
-absent, callers run the PR 5 kernel instead (counted on
-``path_engine.batch_fallbacks``) — results are bit-identical either
-way, which the golden-trace harness enforces in CI under
-``REPRO_PATH_ENGINE=batch``.
+absent, :class:`~repro.paths.store.TreeStore` fills run the kernel
+instead — results are bit-identical either way, which the golden-trace
+harness checks with every store tree substituted from this engine.
 
 Shared memory
 -------------
@@ -193,12 +192,6 @@ def _make_batch_plan(compiled, algebra):
     return BatchPlan(length=bucket.length, max_hops=max_hops,
                      indptr=csr[0], indices=csr[1], edge_keys=edge_keys,
                      decode=decode, identity_decode=identity)
-
-
-def count_fallback() -> None:
-    """Record one per-source fallback from the batch engine to the kernel."""
-    if _telemetry_enabled():
-        _telemetry().counter("path_engine.batch_fallbacks").inc()
 
 
 def batch_tree(compiled: CompiledGraph, algebra: RoutingAlgebra, root,

@@ -17,9 +17,10 @@ Two engines produce the (bit-identical) result:
 * the **compiled kernel** (:mod:`repro.paths.kernel`, the default) runs
   over CSR-flattened arrays and engages a Dial-style bucketed frontier
   when the algebra declares an integer key embedding;
-* the **reference** engine below walks the networkx adjacency dicts with
-  a ``_HeapEntry`` heap — the seed implementation, kept as the semantics
-  referee and selectable with ``REPRO_PATH_ENGINE=reference``.
+* the **reference** engine below (:func:`reference_tree`) walks the
+  networkx adjacency dicts with a ``_HeapEntry`` heap — the seed
+  implementation, kept as the semantics referee the tests compare the
+  kernel and batch engines against.
 
 See ``docs/PERFORMANCE.md`` for the selection rules and counters.
 """
@@ -41,7 +42,6 @@ from repro.paths.kernel import (  # noqa: F401  (re-exported for compat)
     compile_graph,
     emit_stats,
     kernel_tree,
-    resolve_engine,
 )
 
 
@@ -77,7 +77,7 @@ class PathTree:
 
 
 def preferred_path_tree(graph, algebra: RoutingAlgebra, root, attr: str = WEIGHT_ATTR,
-                        unsafe: bool = False, *, engine: Optional[str] = None,
+                        unsafe: bool = False, *,
                         compiled: Optional[CompiledGraph] = None) -> PathTree:
     """Run generalized Dijkstra from *root*; returns a :class:`PathTree`.
 
@@ -85,19 +85,12 @@ def preferred_path_tree(graph, algebra: RoutingAlgebra, root, attr: str = WEIGHT
     right-associative algebras use :mod:`repro.paths.valley_free` instead —
     path-vector composition does not grow from the source side.
 
-    *engine* forces a path engine (``kernel``, ``batch``,
-    ``reference``); by default the ``REPRO_PATH_ENGINE`` environment
-    override applies, falling back to the compiled kernel.  Pass a
-    pre-built *compiled* graph (from :func:`compile_graph`) to amortize
-    flattening across per-source runs — mandatory hygiene for all-pairs
-    sweeps; single-shot callers can omit it.
+    Runs the compiled kernel.  Pass a pre-built *compiled* graph (from
+    :func:`compile_graph`) to amortize flattening across per-source
+    runs — mandatory hygiene for all-pairs sweeps; single-shot callers
+    can omit it.
     """
     _check_tree_preconditions(algebra, unsafe)
-    resolved = resolve_engine(engine)
-    if resolved == "reference" and compiled is None:
-        if root not in graph:
-            raise AlgebraError(f"root {root!r} not in graph")
-        return _reference_tree(graph, algebra, root, attr)
     if compiled is None:
         compiled = compile_graph(graph, attr)
     elif compiled.attr != attr:
@@ -106,16 +99,6 @@ def preferred_path_tree(graph, algebra: RoutingAlgebra, root, attr: str = WEIGHT
         )
     if root not in compiled.node_index:
         raise AlgebraError(f"root {root!r} not in graph")
-    if resolved == "batch":
-        from repro.paths import batch as _batch
-
-        plan = _batch.batch_plan(compiled, algebra)
-        if plan is not None:
-            run = _batch.batch_tree(compiled, algebra, root, plan=plan)
-            return PathTree(root, run.weight, run.parent)
-        # Per-algebra fallback: ineligible instances run the (bit-identical)
-        # PR 5 kernel instead.
-        _batch.count_fallback()
     run = kernel_tree(compiled, algebra, root)
     emit_stats(run.stats)
     return PathTree(root, run.weight, run.parent)
@@ -136,8 +119,16 @@ def _check_tree_preconditions(algebra: RoutingAlgebra, unsafe: bool) -> None:
         )
 
 
-def _reference_tree(graph, algebra: RoutingAlgebra, root, attr: str) -> PathTree:
-    """The seed engine: adjacency-dict walk with a ``_HeapEntry`` heap."""
+def reference_tree(graph, algebra: RoutingAlgebra, root, attr: str = WEIGHT_ATTR,
+                   unsafe: bool = False) -> PathTree:
+    """The seed engine: adjacency-dict walk with a ``_HeapEntry`` heap.
+
+    Same contract and result as :func:`preferred_path_tree`, insertion
+    order included; no production path calls it.
+    """
+    _check_tree_preconditions(algebra, unsafe)
+    if root not in graph:
+        raise AlgebraError(f"root {root!r} not in graph")
     neighbors = graph.neighbors if not graph.is_directed() else graph.successors
     weight: Dict[object, Weight] = {}
     parent: Dict[object, object] = {}
@@ -194,8 +185,7 @@ def _reference_tree(graph, algebra: RoutingAlgebra, root, attr: str) -> PathTree
 
 
 def all_pairs_preferred_weights(graph, algebra: RoutingAlgebra, attr: str = WEIGHT_ATTR,
-                                unsafe: bool = False, *,
-                                engine: Optional[str] = None) -> Dict[object, PathTree]:
+                                unsafe: bool = False) -> Dict[object, PathTree]:
     """Preferred path trees from every node (n runs of generalized Dijkstra).
 
     Eager by design: use it when every tree is genuinely needed (e.g.
@@ -203,13 +193,12 @@ def all_pairs_preferred_weights(graph, algebra: RoutingAlgebra, attr: str = WEIG
     :class:`~repro.paths.store.TreeStore` fill: the graph is compiled
     once, and eligible algebras run as vectorized multi-source sweeps of
     :mod:`repro.paths.batch` (identical trees, one chunked numpy sweep
-    instead of n Python loops) unless *engine* or ``REPRO_PATH_ENGINE``
-    forces a per-source engine.  Evaluation workloads that touch only
+    instead of n Python loops).  Evaluation workloads that touch only
     some sources should go through the lazy
     :class:`repro.core.simulate.PreferredWeightOracle` instead, which
     builds per-source trees on first query.
     """
     from repro.paths.store import TreeStore
 
-    store = TreeStore(graph, algebra, attr, unsafe=unsafe, path_engine=engine)
+    store = TreeStore(graph, algebra, attr, unsafe=unsafe)
     return store.trees(graph.nodes())

@@ -28,17 +28,18 @@ Results are **bit-identical** to the reference heap engine in
 algebra-equal (integer keys are an order embedding), so FIFO pop order
 reproduces the heap's insertion-counter tie-break exactly, and the
 ``weight``/``parent`` maps are rebuilt in first-relaxation order.  The
-golden-trace harness enforces this under ``REPRO_PATH_ENGINE`` in CI.
+golden-trace harness enforces this with every store tree substituted
+from each engine in turn (``tests/regress/test_golden_engines.py``).
 
-Engine selection is overridable with the ``REPRO_PATH_ENGINE``
-environment variable (resolved by :func:`repro.choices.resolve_choice`):
-unset (or ``auto``/``default``) runs single sources on the kernel and
-bulk tree fills (:class:`repro.paths.store.TreeStore`) on the batch
-engine where eligible; ``kernel`` (buckets where eligible), ``batch``
-(the vectorized multi-source engine of :mod:`repro.paths.batch` where
-eligible, kernel otherwise) and ``reference`` (the seed engine) force
-one engine everywhere.  The heap frontier over the compiled arrays stays
-reachable as ``kernel_tree(..., buckets=False)``.  See
+The code picks the engine from what it can observe, never from a user
+setting: single sources run the kernel (buckets where the algebra
+declares integer keys), and bulk tree fills
+(:class:`repro.paths.store.TreeStore`) of at least
+``BATCH_MIN_SOURCES`` sources run the vectorized engine of
+:mod:`repro.paths.batch` where numpy and the algebra allow.  The heap
+frontier over the compiled arrays stays reachable as
+``kernel_tree(..., buckets=False)`` and the seed engine as
+:func:`repro.paths.dijkstra.reference_tree`.  See
 ``docs/PERFORMANCE.md``.
 """
 
@@ -50,28 +51,9 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.algebra.base import RoutingAlgebra, is_phi
-from repro.choices import resolve_choice
 from repro.graphs.weighting import WEIGHT_ATTR
 from repro.obs.metrics import enabled as _telemetry_enabled
 from repro.obs.metrics import metrics as _telemetry
-
-#: Environment variable forcing the path engine (see :func:`resolve_engine`).
-ENGINE_ENV = "REPRO_PATH_ENGINE"
-
-#: Recognized engine spellings -> canonical engine name.  ``auto`` leaves
-#: the choice to the caller: per-source sweeps run the kernel, bulk fills
-#: the batch engine where eligible.
-_ENGINE_ALIASES = {
-    "": "auto",
-    "auto": "auto",
-    "default": "auto",
-    "kernel": "kernel",
-    "compiled": "kernel",
-    "reference": "reference",
-    "seed": "reference",
-    "batch": "batch",
-    "vectorized": "batch",
-}
 
 #: Bucket arrays never exceed this many buckets, whatever the instance size.
 BUCKET_HARD_CAP = 1 << 22
@@ -84,20 +66,17 @@ BUCKET_MIN_LIMIT = 4096
 BUCKET_EDGE_FACTOR = 32
 
 
-def resolve_engine(engine: Optional[str] = None, *, bulk: bool = False) -> str:
-    """The canonical path-engine choice: explicit arg > environment > default.
+def resolve_engine(*, bulk: bool = False) -> str:
+    """The path engine the code picks: ``"kernel"``, or ``"auto"`` in bulk.
 
-    Returns ``"kernel"`` (compiled arrays, buckets where eligible),
-    ``"batch"`` (vectorized multi-source sweeps where eligible, kernel
-    otherwise) or ``"reference"`` (the seed networkx-walking engine).
-    The default is ``kernel``; with *bulk* set (a caller filling many
-    trees at once) it resolves to ``"auto"`` instead, which the caller
-    maps to the batch engine for large enough eligible fills.  Bad values
-    are handled by :func:`repro.choices.resolve_choice`.
+    A single source runs the compiled kernel (buckets where eligible); a
+    caller filling many trees at once (*bulk*) gets ``"auto"``: the
+    batch engine for fills of at least ``BATCH_MIN_SOURCES`` sources
+    that numpy and the algebra admit, the kernel otherwise.  ``repro
+    profile``, ``--record-run`` manifests and benchmark provenance
+    report this value.
     """
-    resolved = resolve_choice(engine, ENGINE_ENV, _ENGINE_ALIASES,
-                              "path engine")
-    return "kernel" if resolved == "auto" and not bulk else resolved
+    return "auto" if bulk else "kernel"
 
 
 def node_ranks(nodes) -> Dict[object, int]:

@@ -16,8 +16,9 @@ Edge weights are pairs ``(capacity, cost)`` — the weight domain of
 Both sweeps run over a :class:`~repro.paths.kernel.CompiledGraph` by
 default (pass one explicitly to amortize flattening across sources, as
 :func:`all_pairs_shortest_widest` and the oracle do); the seed
-adjacency-dict implementation stays selectable with
-``REPRO_PATH_ENGINE=reference``.  Heap ties break on a deterministic node
+adjacency-dict implementations (``_reference_widest``,
+``_reference_restricted``) stay as the referee the tests compare
+against.  Heap ties break on a deterministic node
 rank plus an insertion counter, so pop order never falls back to
 comparing raw node objects (heterogeneous node sets used to raise
 ``TypeError``); for mutually comparable node sets the rank equals the
@@ -36,7 +37,6 @@ from repro.paths.kernel import (
     CompiledGraph,
     compile_graph,
     node_ranks,
-    resolve_engine,
 )
 
 
@@ -71,8 +71,6 @@ def widest_bottlenecks(graph, source, attr: str = WEIGHT_ATTR, *,
                        compiled: Optional[CompiledGraph] = None) -> Dict[object, int]:
     """Max-min Dijkstra: the widest achievable bottleneck to every node."""
     if compiled is None:
-        if resolve_engine() == "reference":
-            return _reference_widest(graph, source, attr)
         compiled = compile_graph(graph, attr)
     return _compiled_widest(compiled, source)
 
@@ -130,8 +128,6 @@ def _restricted_shortest(graph, source, min_capacity, attr, *,
                          compiled: Optional[CompiledGraph] = None) -> Tuple[Dict, Dict]:
     """Cost Dijkstra from *source* over edges with capacity >= *min_capacity*."""
     if compiled is None:
-        if resolve_engine() == "reference":
-            return _reference_restricted(graph, source, min_capacity, attr)
         compiled = compile_graph(graph, attr)
     return _compiled_restricted(compiled, source, min_capacity)
 
@@ -201,7 +197,7 @@ def shortest_widest_routes(graph, source, attr: str = WEIGHT_ATTR, *,
     O(#distinct bottlenecks * m log n).  Pass a pre-built *compiled*
     graph to share the flattening across sources.
     """
-    if compiled is None and resolve_engine() != "reference":
+    if compiled is None:
         compiled = compile_graph(graph, attr)
     bottleneck = widest_bottlenecks(graph, source, attr=attr, compiled=compiled)
     routes: Dict[object, SWRoute] = {}
@@ -225,9 +221,7 @@ def shortest_widest_routes(graph, source, attr: str = WEIGHT_ATTR, *,
 def all_pairs_shortest_widest(graph, attr: str = WEIGHT_ATTR
                               ) -> Dict[object, Dict[object, SWRoute]]:
     """Preferred SW routes between every ordered pair (one shared compile)."""
-    compiled = None
-    if resolve_engine() != "reference":
-        compiled = compile_graph(graph, attr)
+    compiled = compile_graph(graph, attr)
     return {
         source: shortest_widest_routes(graph, source, attr=attr, compiled=compiled)
         for source in graph.nodes()

@@ -6,14 +6,12 @@ oracle all need the generalized-Dijkstra tree of many sources of one
 instance.  A :class:`TreeStore` compiles the graph once, builds each
 tree once, and fills bulk requests in one sweep:
 
-* with ``REPRO_PATH_ENGINE`` unset (or ``auto``/``default``) a fill of
-  at least :data:`BATCH_MIN_SOURCES` missing sources runs the vectorized
-  engine of :mod:`repro.paths.batch` when numpy and the instance's batch
-  plan admit it; smaller fills and ineligible instances run the kernel
-  per source over the one compiled graph;
-* a forced engine keeps its meaning: ``batch`` batches every eligible
-  fill, ``kernel`` runs per source, and ``reference`` walks the
-  networkx graph and compiles nothing.
+* a fill of at least :data:`BATCH_MIN_SOURCES` missing sources runs
+  one :func:`~repro.paths.batch.batch_trees` sweep when numpy and the
+  instance's batch plan admit it;
+* smaller fills and ineligible instances run
+  :func:`~repro.paths.dijkstra.preferred_path_tree` (the kernel) per
+  source over the one compiled graph.
 
 Every engine yields the same ``weight``/``parent`` maps, insertion order
 included, so which engine filled a tree never shows in a scheme.
@@ -22,7 +20,7 @@ included, so which engine filled a tree never shows in a scheme.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable
 
 from repro.algebra.base import RoutingAlgebra
 from repro.graphs.weighting import WEIGHT_ATTR
@@ -33,9 +31,9 @@ from repro.paths.dijkstra import (
     _check_tree_preconditions,
     preferred_path_tree,
 )
-from repro.paths.kernel import compile_graph, resolve_engine
+from repro.paths.kernel import compile_graph
 
-#: Smallest fill the default engine runs as one batch sweep.  Measured at
+#: Smallest fill run as one batch sweep.  Measured at
 #: n=256 (Barabási–Albert, shortest path, a 2-CPU x86 VM, medians of 150
 #: fills): one source costs 3.4 ms as a one-lane batch sweep and 1.3 ms
 #: on the kernel; four cost 3.6 ms batched and 3.1 ms on the kernel,
@@ -50,8 +48,7 @@ class TreeStore:
     over the stored ``weight``/``parent`` maps (shared, never copied);
     :meth:`ensure_sources` fills a source set in bulk.  ``trees_built``
     counts actual builds (also emitted on the ``oracle.trees_built``
-    telemetry counter).  *path_engine* forces a path engine for this
-    store only; by default ``REPRO_PATH_ENGINE`` applies.
+    telemetry counter).
 
     The store treats its graph as immutable: a holder that mutates the
     graph must drop the store or repair it
@@ -65,12 +62,11 @@ class TreeStore:
     engine = "dijkstra"
 
     def __init__(self, graph, algebra: RoutingAlgebra, attr: str = WEIGHT_ATTR,
-                 *, unsafe: bool = False, path_engine: Optional[str] = None):
+                 *, unsafe: bool = False):
         self.graph = graph
         self.algebra = algebra
         self.attr = attr
         self.unsafe = unsafe
-        self.path_engine = path_engine
         self.trees_built = 0
         self._tables: Dict = {}
         self._parents: Dict = {}
@@ -91,19 +87,17 @@ class TreeStore:
     # -- the compiled graph -------------------------------------------------
 
     def _ensure_compiled(self):
-        """The shared :class:`~repro.paths.kernel.CompiledGraph`, or None.
+        """The shared :class:`~repro.paths.kernel.CompiledGraph`.
 
         Compiled once per store (under the build lock the callers hold)
-        and reused by every sweep; stays None under the reference engine.
+        and reused by every sweep.
         """
         if self._compiled is None:
-            if resolve_engine(self.path_engine) == "reference":
-                return None
             self._compiled = compile_graph(self.graph, self.attr)
         return self._compiled
 
     def compiled_graph(self):
-        """The store's compiled graph (None under the reference engine)."""
+        """The store's compiled graph."""
         with self._lock:
             return self._ensure_compiled()
 
@@ -132,7 +126,6 @@ class TreeStore:
         if tree is None:
             tree = preferred_path_tree(self.graph, self.algebra, source,
                                        attr=self.attr, unsafe=self.unsafe,
-                                       engine=self.path_engine,
                                        compiled=self._ensure_compiled())
         # The parent map is what schemes route on and what surgical
         # invalidation tests tree edges against.
@@ -161,19 +154,15 @@ class TreeStore:
     def _batch_runs(self, missing) -> Dict:
         """``source -> KernelRun`` for *missing*, when one sweep should run.
 
-        Empty unless the resolved engine batches (``batch``, or the
-        default with at least :data:`BATCH_MIN_SOURCES` sources) and the
-        instance admits a batch plan.  Sources absent from the graph are
-        left for the per-source path to raise on.
+        Empty unless at least :data:`BATCH_MIN_SOURCES` sources are
+        missing and the instance admits a batch plan.  Sources absent
+        from the graph are left for the per-source path to raise on.
         """
-        engine = resolve_engine(self.path_engine, bulk=True)
-        if self.engine != "dijkstra" or engine not in ("auto", "batch"):
+        if self.engine != "dijkstra":
             return {}
         compiled = self._ensure_compiled()
-        if compiled is None:
-            return {}
         missing = [s for s in missing if s in compiled.node_index]
-        if len(missing) < (BATCH_MIN_SOURCES if engine == "auto" else 1):
+        if len(missing) < BATCH_MIN_SOURCES:
             return {}
         from repro.paths import batch as _batch
 
@@ -187,8 +176,9 @@ class TreeStore:
     def ensure_sources(self, sources: Iterable) -> None:
         """Build the trees of *sources* that are not stored yet (idempotent).
 
-        The missing trees run as one bulk sweep when the engine allows
-        (see :meth:`_batch_runs`), else one per-source sweep each.
+        The missing trees run as one bulk sweep when the fill is large
+        enough and eligible (see :meth:`_batch_runs`), else one
+        per-source sweep each.
         """
         ordered = list(dict.fromkeys(sources))
         if all(source in self._tables for source in ordered):

@@ -33,12 +33,10 @@ def shortest_widest_oracle(graph, attr: str = WEIGHT_ATTR) -> PathOracle:
     The graph is flattened once here and shared by every per-source solver
     run the oracle serves (all n of them when a pair table is built).
     """
-    from repro.paths.kernel import compile_graph, resolve_engine
+    from repro.paths.kernel import compile_graph
     from repro.paths.shortest_widest import shortest_widest_routes
 
-    compiled = None
-    if resolve_engine() != "reference":
-        compiled = compile_graph(graph, attr)
+    compiled = compile_graph(graph, attr)
 
     def oracle(source):
         return {

@@ -1,4 +1,4 @@
-"""Query-engine selection: the vectorized pair evaluator vs the seed loop.
+"""Query-engine accounting: the vectorized pair evaluator vs the seed loop.
 
 `repro.core.simulate.route_shard` evaluates a shard of (source, target)
 pairs.  Two engines produce bit-identical results:
@@ -21,33 +21,17 @@ keep their exact per-hop semantics.  Every such step-down is counted on
 ``query_engine.batch_fallbacks`` (tagged with a reason) and on the
 process-local stats served to ``repro profile``'s ``query`` block.
 
-Like :func:`repro.paths.kernel.resolve_engine`, the choice goes through
-:func:`repro.choices.resolve_choice`: explicit argument >
-``REPRO_QUERY_ENGINE`` environment > default, with a one-time
-``RuntimeWarning`` on unrecognized environment values.
+No user setting picks the engine: the code runs the batch engine
+wherever it can.  The reference loop stays reachable for comparison by
+making :func:`repro.routing.compiled_query.evaluate_shard` decline.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.choices import resolve_choice
 from repro.obs.metrics import enabled as _telemetry_enabled
 from repro.obs.metrics import metrics as _telemetry
-
-#: Environment variable selecting the query engine (see EVALUATION_API.md).
-QUERY_ENGINE_ENV = "REPRO_QUERY_ENGINE"
-
-_QUERY_ALIASES = {
-    "": "batch",
-    "auto": "batch",
-    "default": "batch",
-    "batch": "batch",
-    "vectorized": "batch",
-    "reference": "reference",
-    "loop": "reference",
-    "seed": "reference",
-}
 
 #: Process-local engine usage counters.  Unlike the telemetry registry these
 #: are always on (they cost one dict update per *shard*, not per pair) —
@@ -61,15 +45,14 @@ _STATS: Dict[str, object] = {
 }
 
 
-def resolve_query_engine(engine: Optional[str] = None) -> str:
-    """The canonical query-engine choice: explicit arg > environment > default.
+def resolve_query_engine() -> str:
+    """The pair-evaluation engine the code picks: always ``"batch"``.
 
-    Returns ``"batch"`` (vectorized shard evaluation where eligible,
-    reference otherwise) or ``"reference"`` (the seed per-pair loop).
-    Bad values are handled by :func:`repro.choices.resolve_choice`.
+    ``"batch"`` means vectorized shard evaluation where eligible and the
+    reference loop otherwise (see the module docstring); ``repro
+    profile`` and benchmark provenance report this value.
     """
-    return resolve_choice(engine, QUERY_ENGINE_ENV, _QUERY_ALIASES,
-                          "query engine")
+    return "batch"
 
 
 def count_query_fallback(reason: str, pairs: int = 0) -> None:

@@ -8,9 +8,7 @@ from repro.algebra.bgp import valley_free_algebra
 from repro.algebra.catalog import ShortestPath
 from repro.core.compiler import build_scheme
 from repro.core.parallel import (
-    SHARDS_PER_WORKER,
     evaluate_sharded,
-    shard_pairs,
     shard_pairs_by_source,
 )
 from repro.core.simulate import (
@@ -47,28 +45,6 @@ def _golden_instances():
     instances.append(("bgp", graph, algebra, build_scheme(graph, algebra)))
 
     return instances
-
-
-class TestShardPairs:
-    def test_contiguous_and_complete(self):
-        pairs = [(i, i + 1) for i in range(10)]
-        shards = shard_pairs(pairs, workers=3, shard_size=4)
-        assert [len(s) for s in shards] == [4, 4, 2]
-        assert [p for shard in shards for p in shard] == pairs
-
-    def test_default_size_balances_over_workers(self):
-        pairs = [(i, 0) for i in range(100)]
-        shards = shard_pairs(pairs, workers=4)
-        # Roughly SHARDS_PER_WORKER shards per worker (ceil rounding may
-        # produce slightly fewer), so every worker has several tasks.
-        assert 4 < len(shards) <= 4 * SHARDS_PER_WORKER
-        assert [p for shard in shards for p in shard] == pairs
-
-    def test_empty(self):
-        assert shard_pairs([], workers=4) == []
-
-    def test_single_shard_when_fewer_pairs_than_size(self):
-        assert shard_pairs([(0, 1)], workers=4, shard_size=10) == [[(0, 1)]]
 
 
 class TestShardPairsBySource:
@@ -210,11 +186,11 @@ class TestStartMethodResolution:
         import multiprocessing
         import warnings
 
-        from repro import choices
+        from repro.core import parallel
         from repro.core.parallel import START_METHOD_ENV, _start_method
 
         monkeypatch.setenv(START_METHOD_ENV, "hyperthread")
-        monkeypatch.setattr(choices, "_WARNED", set())
+        monkeypatch.setattr(parallel, "_WARNED_START_METHODS", set())
         expected = ("fork" if "fork" in multiprocessing.get_all_start_methods()
                     else None)
         with pytest.warns(RuntimeWarning, match="hyperthread"):
@@ -227,11 +203,11 @@ class TestStartMethodResolution:
     def test_valid_env_value_does_not_warn(self, monkeypatch):
         import warnings
 
-        from repro import choices
+        from repro.core import parallel
         from repro.core.parallel import START_METHOD_ENV, _start_method
 
         monkeypatch.setenv(START_METHOD_ENV, "spawn")
-        monkeypatch.setattr(choices, "_WARNED", set())
+        monkeypatch.setattr(parallel, "_WARNED_START_METHODS", set())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _start_method() == "spawn"

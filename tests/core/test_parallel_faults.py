@@ -15,8 +15,8 @@ import pytest
 
 from repro.algebra.catalog import ShortestPath
 from repro.core.compiler import build_scheme
+from repro.core import parallel
 from repro.core.parallel import (
-    SHARD_RETRIES_ENV,
     SHARD_TIMEOUT_ENV,
     evaluate_sharded,
     last_run_info,
@@ -47,7 +47,6 @@ from repro.obs.metrics import reset as telemetry_reset
 def clean_state(monkeypatch):
     monkeypatch.delenv(FAULT_SPEC_ENV, raising=False)
     monkeypatch.delenv(SHARD_TIMEOUT_ENV, raising=False)
-    monkeypatch.delenv(SHARD_RETRIES_ENV, raising=False)
 
     def _clean():
         telemetry_disable()
@@ -187,7 +186,7 @@ class TestRetryExhaustion:
         graph, algebra, scheme = _instance()
         serial = evaluate_scheme(graph, algebra, scheme)
         monkeypatch.setenv(FAULT_SPEC_ENV, "kill:shard=0")
-        monkeypatch.setenv(SHARD_RETRIES_ENV, "1")
+        monkeypatch.setattr(parallel, "SHARD_RETRIES", 1)
         telemetry_enable()
         obs_events.enable()
         report, _pairs = _run_faulted(graph, algebra, scheme)

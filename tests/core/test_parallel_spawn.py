@@ -10,6 +10,8 @@ the same variable as a dedicated step.
 
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -41,7 +43,6 @@ from repro.obs.metrics import enable as telemetry_enable
 from repro.obs.metrics import registry as telemetry_registry
 from repro.obs.metrics import reset as telemetry_reset
 from repro.paths import batch
-from repro.paths.kernel import ENGINE_ENV
 
 
 @pytest.fixture(autouse=True)
@@ -85,13 +86,8 @@ def test_env_override_selects_spawn():
 
 @pytest.mark.skipif(not batch.numpy_available(),
                     reason="numpy not installed (the repro[fast] optional extra)")
-@pytest.mark.parametrize("engine,exported", [
-    ("", True), ("batch", True), ("kernel", False), ("reference", False)])
-def test_batch_plan_export_follows_the_bulk_engine(monkeypatch, engine,
-                                                   exported):
-    """Worker bulk fills batch under the default engine too, so the parent
-    exports the batch plan unless a per-source engine is forced."""
-    monkeypatch.setenv(ENGINE_ENV, engine)
+def test_batch_plan_is_exported_to_spawn_workers(monkeypatch):
+    """Worker bulk fills may batch, so the parent exports the batch plan."""
     graph, algebra, scheme = _sp_instance()
     descriptors = []
     real_export = batch.export_shared
@@ -106,7 +102,39 @@ def test_batch_plan_export_follows_the_bulk_engine(monkeypatch, engine,
     parallel = evaluate_scheme(
         graph, algebra, scheme, options=EvaluationOptions(workers=2))
     assert parallel == serial
-    assert (descriptors != [] and None not in descriptors) == exported
+    assert descriptors and None not in descriptors
+
+
+_SPAWN_RUN = """
+import random
+from repro.algebra.catalog import ShortestPath
+from repro.core.compiler import build_scheme
+from repro.core.simulate import EvaluationOptions, evaluate_scheme
+from repro.graphs.generators import erdos_renyi
+from repro.graphs.weighting import assign_random_weights
+
+algebra = ShortestPath()
+graph = erdos_renyi(16, rng=random.Random(1))
+assign_random_weights(graph, algebra, rng=random.Random(2))
+scheme = build_scheme(graph, algebra)
+report = evaluate_scheme(graph, algebra, scheme,
+                         options=EvaluationOptions(workers=2))
+assert report.all_delivered
+"""
+
+
+def test_pool_round_leaves_no_half_started_worker():
+    """A pool round joins its workers before the parent frees the pool.
+
+    The shards of this run finish before the second spawn worker has
+    started; without the join that worker comes up after the parent
+    released the pool's semaphores and dies unpickling one, printing a
+    traceback to stderr.
+    """
+    run = subprocess.run([sys.executable, "-c", _SPAWN_RUN],
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert "Traceback" not in run.stderr, run.stderr
 
 
 class TestSpawnMergeExactness:

@@ -4,22 +4,20 @@ The batch engine's contract is *bit-identical* `EvaluationReport`s — the
 same routed/delivered/optimal counts, the same failure tuples in the same
 order (message strings included), and the same stretch samples.  Hypothesis
 drives seeded graphs through every compiled scheme family under both
-engines; further tests pin the resolver semantics (env handling, warn-once,
-explicit errors), the fallback ladder (telemetry, non-additive algebras),
-and the spawn-path shared-memory attach.
+engines; further tests pin the fallback ladder (telemetry, non-additive
+algebras) and the spawn-path shared-memory attach.
 """
 
 import gc
 import os
 import pickle
 import random
-import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
-from repro import choices, shared_arrays
+from repro import shared_arrays
 from repro.algebra.catalog import MinHop, ShortestPath, UsablePath, WidestPath
 from repro.core.parallel import START_METHOD_ENV
 from repro.core.simulate import (
@@ -44,8 +42,7 @@ needs_numpy = pytest.mark.skipif(not compiled_query.numpy_available(),
 
 
 @pytest.fixture(autouse=True)
-def clean_engine_state(monkeypatch):
-    monkeypatch.delenv(query_engine.QUERY_ENGINE_ENV, raising=False)
+def clean_engine_state():
     oracle_cache.clear()
     telemetry_disable()
     telemetry_reset()
@@ -58,16 +55,20 @@ def clean_engine_state(monkeypatch):
 
 
 def _with_engine(engine, fn):
-    """Run *fn* with REPRO_QUERY_ENGINE pinned, restoring the old value."""
-    old = os.environ.get(query_engine.QUERY_ENGINE_ENV)
-    os.environ[query_engine.QUERY_ENGINE_ENV] = engine
+    """Run *fn* on the ``batch`` engine or the ``reference`` per-pair loop.
+
+    No option selects the query engine: ``route_shard`` runs the
+    reference loop whenever ``evaluate_shard`` declines, so the
+    reference side stubs it to decline for the duration of *fn*.
+    """
+    if engine == "batch":
+        return fn()
+    real = compiled_query.evaluate_shard
+    compiled_query.evaluate_shard = lambda *args: None
     try:
         return fn()
     finally:
-        if old is None:
-            os.environ.pop(query_engine.QUERY_ENGINE_ENV, None)
-        else:
-            os.environ[query_engine.QUERY_ENGINE_ENV] = old
+        compiled_query.evaluate_shard = real
 
 
 def _shard_key(result):
@@ -155,34 +156,6 @@ class TestBatchReferenceEquality:
 class TestResolver:
     def test_default_is_batch(self):
         assert query_engine.resolve_query_engine() == "batch"
-
-    def test_env_selects_reference(self, monkeypatch):
-        monkeypatch.setenv(query_engine.QUERY_ENGINE_ENV, "reference")
-        assert query_engine.resolve_query_engine() == "reference"
-        monkeypatch.setenv(query_engine.QUERY_ENGINE_ENV, "loop")
-        assert query_engine.resolve_query_engine() == "reference"
-
-    def test_aliases_resolve_to_batch(self, monkeypatch):
-        for alias in ("auto", "default", "vectorized", "BATCH"):
-            monkeypatch.setenv(query_engine.QUERY_ENGINE_ENV, alias)
-            assert query_engine.resolve_query_engine() == "batch"
-
-    def test_explicit_argument_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(query_engine.QUERY_ENGINE_ENV, "reference")
-        assert query_engine.resolve_query_engine("batch") == "batch"
-
-    def test_unknown_explicit_value_raises(self):
-        with pytest.raises(ValueError, match="unknown query engine"):
-            query_engine.resolve_query_engine("warp")
-
-    def test_unknown_env_value_warns_once_then_defaults(self, monkeypatch):
-        monkeypatch.setenv(query_engine.QUERY_ENGINE_ENV, "warp-speed")
-        choices._WARNED.discard((query_engine.QUERY_ENGINE_ENV, "warp-speed"))
-        with pytest.warns(RuntimeWarning, match="REPRO_QUERY_ENGINE"):
-            assert query_engine.resolve_query_engine() == "batch"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")   # a second warning would raise
-            assert query_engine.resolve_query_engine() == "batch"
 
 
 class TestFallbackLadder:

@@ -3,8 +3,9 @@
 ``build_scheme`` fills one :class:`~repro.paths.store.TreeStore` (the
 exact oracle) in a bulk sweep, and the evaluation that follows adopts it
 from the oracle cache, so a ``run_experiment`` compiles the graph once
-and builds each source tree once — under every path engine, with trees
-identical to the per-node builds they replace, dict order included.
+and builds each source tree once — with every tree substituted from
+each path engine in turn (the ``force_path_engine`` fixture), and with
+trees identical to the per-node builds they replace, dict order included.
 """
 
 import random
@@ -30,7 +31,7 @@ from repro.obs.metrics import metrics as telemetry_metrics
 from repro.obs.metrics import reset as telemetry_reset
 from repro.paths import batch
 from repro.paths.dijkstra import preferred_path_tree
-from repro.paths.kernel import ENGINE_ENV, compile_graph, kernel_tree
+from repro.paths.kernel import compile_graph, kernel_tree
 from repro.paths.store import BATCH_MIN_SOURCES, TreeStore
 from repro.routing.cowen import CowenScheme
 
@@ -71,8 +72,8 @@ def _counters():
 
 @pytest.mark.parametrize("mode", ["compact", "exact"])
 @pytest.mark.parametrize("engine", ["", "kernel", "batch", "reference"])
-def test_run_experiment_builds_each_tree_once(monkeypatch, mode, engine):
-    monkeypatch.setenv(ENGINE_ENV, engine)
+def test_run_experiment_builds_each_tree_once(force_path_engine, mode, engine):
+    force_path_engine(engine)
     graph, algebra = _instance()
     n = graph.number_of_nodes()
     telemetry_enable()
@@ -80,8 +81,7 @@ def test_run_experiment_builds_each_tree_once(monkeypatch, mode, engine):
                             options=EvaluationOptions(rng=0))
     counters = _counters()
     assert result.report.all_delivered
-    assert counters.get("path_engine.compile_graph_calls", 0) == (
-        0 if engine == "reference" else 1)
+    assert counters["path_engine.compile_graph_calls"] == 1
     stats = oracle_cache.stats()
     # The evaluation's lookup missed and adopted the build's store.
     assert (stats["misses"], stats["hits"], stats["offered"]) == (1, 0, 0)
@@ -94,7 +94,7 @@ def test_run_experiment_builds_each_tree_once(monkeypatch, mode, engine):
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_cowen_trees_match_per_node_build(monkeypatch, engine):
+def test_cowen_trees_match_per_node_build(force_path_engine, engine):
     graph, algebra = _instance(n=40, seed=5)
     if engine == "kernel-heap":
         compiled = compile_graph(graph)
@@ -102,10 +102,9 @@ def test_cowen_trees_match_per_node_build(monkeypatch, engine):
                     for node in graph.nodes()}
         engine = ""
     else:
-        expected = {node: preferred_path_tree(graph, algebra, node,
-                                              engine="kernel")
+        expected = {node: preferred_path_tree(graph, algebra, node)
                     for node in graph.nodes()}
-    monkeypatch.setenv(ENGINE_ENV, engine)
+    force_path_engine(engine)
     for scheme in (CowenScheme(graph, algebra, rng=random.Random(0)),
                    build_scheme(graph, algebra, mode="compact", rng=0)):
         assert list(scheme._trees) == list(expected)
@@ -118,8 +117,7 @@ def test_cowen_trees_match_per_node_build(monkeypatch, engine):
 
 
 @needs_numpy
-def test_default_bulk_fill_crossover(monkeypatch):
-    monkeypatch.delenv(ENGINE_ENV, raising=False)
+def test_default_bulk_fill_crossover():
     graph, algebra = _instance(n=32)
     nodes = list(graph.nodes())
     store = TreeStore(graph, algebra)
@@ -136,8 +134,10 @@ def test_default_bulk_fill_crossover(monkeypatch):
 @needs_numpy
 @pytest.mark.parametrize("engine,batched", [("kernel", 0), ("reference", 0),
                                             ("batch", 1)])
-def test_forced_engine_keeps_its_meaning(monkeypatch, engine, batched):
-    monkeypatch.setenv(ENGINE_ENV, engine)
+def test_forced_engine_keeps_its_meaning(force_path_engine, engine, batched):
+    """The substitution points the engine tests rely on: a forced engine
+    decides every fill, one source included."""
+    force_path_engine(engine)
     graph, algebra = _instance(n=24)
     telemetry_enable()
     TreeStore(graph, algebra).ensure_sources([0])
@@ -146,17 +146,10 @@ def test_forced_engine_keeps_its_meaning(monkeypatch, engine, batched):
     assert _counters().get("path_engine.batch_sources", 0) == expected
 
 
-def test_stats_report_the_engine_that_fills_bulk_trees(monkeypatch):
-    monkeypatch.delenv(ENGINE_ENV, raising=False)
+def test_stats_report_the_engine_that_fills_bulk_trees():
     graph, algebra = _instance(n=16)
     oracle = PreferredWeightOracle(graph, algebra)
     assert oracle.stats()["path_engine"] == "auto"
-    # a store's own engine wins over the environment
-    oracle.path_engine = "kernel"
-    monkeypatch.setenv(ENGINE_ENV, "batch")
-    assert oracle.stats()["path_engine"] == "kernel"
-    oracle.path_engine = None
-    assert oracle.stats()["path_engine"] == "batch"
 
 
 def test_build_offer_is_not_adopted_after_the_graph_changes():

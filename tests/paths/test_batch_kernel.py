@@ -38,11 +38,9 @@ from repro.obs.metrics import (
     reset as telemetry_reset,
 )
 from repro.paths import batch
-from repro.paths.dijkstra import (
-    all_pairs_preferred_weights,
-    preferred_path_tree,
-)
-from repro.paths.kernel import ENGINE_ENV, compile_graph, kernel_tree
+from repro.paths.dijkstra import all_pairs_preferred_weights, reference_tree
+from repro.paths.kernel import compile_graph, kernel_tree
+from repro.paths.store import TreeStore
 
 needs_numpy = pytest.mark.skipif(
     not batch.numpy_available(),
@@ -106,8 +104,7 @@ def test_batch_bit_identical_to_kernel_and_reference(
     assert len(runs) == len(roots)
     for root, run in zip(roots, runs):
         _assert_identical(run, kernel_tree(compiled, algebra, root))
-        reference = preferred_path_tree(graph, algebra, root,
-                                        engine="reference")
+        reference = reference_tree(graph, algebra, root)
         assert run.weight == reference.weight
         assert list(run.weight) == list(reference.weight)
         # decoded weights must be plain Python objects, not numpy scalars
@@ -151,25 +148,24 @@ class TestEligibility:
         assert not batch.numpy_available()
         assert batch.batch_plan(compiled, algebra) is None
 
-    def test_env_batch_falls_back_per_algebra(self, monkeypatch):
-        # Ineligible algebra under REPRO_PATH_ENGINE=batch: identical
-        # trees via the kernel, no error.
+    def test_bulk_fill_falls_back_per_algebra(self):
+        # Ineligible algebra in a bulk fill: identical trees via the
+        # kernel, no error.
         algebra = WidestPath(max_capacity=9)
-        graph, compiled = self._compiled(algebra)
-        monkeypatch.setenv(ENGINE_ENV, "batch")
-        tree = preferred_path_tree(graph, algebra, 0, compiled=compiled)
-        reference = preferred_path_tree(graph, algebra, 0, engine="reference")
-        assert tree.weight == reference.weight
-        assert list(tree.weight) == list(reference.weight)
+        graph, _ = self._compiled(algebra)
+        trees = TreeStore(graph, algebra).trees(graph.nodes())
+        for root, tree in trees.items():
+            reference = reference_tree(graph, algebra, root)
+            assert tree.weight == reference.weight
+            assert list(tree.weight) == list(reference.weight)
 
-    def test_env_batch_without_numpy_falls_back(self, monkeypatch):
+    def test_bulk_fill_without_numpy_falls_back(self, monkeypatch):
         algebra = ShortestPath(9)
-        graph, compiled = self._compiled(algebra)
-        monkeypatch.setenv(ENGINE_ENV, "batch")
+        graph, _ = self._compiled(algebra)
         monkeypatch.setattr(shared_arrays, "np", None)
-        tree = preferred_path_tree(graph, algebra, 0, compiled=compiled)
-        reference = preferred_path_tree(graph, algebra, 0, engine="reference")
-        assert tree.weight == reference.weight
+        trees = TreeStore(graph, algebra).trees(graph.nodes())
+        for root, tree in trees.items():
+            assert tree.weight == reference_tree(graph, algebra, root).weight
 
     @needs_numpy
     def test_batch_trees_without_plan_raises(self):
@@ -177,14 +173,6 @@ class TestEligibility:
         _, compiled = self._compiled(algebra)
         with pytest.raises(ValueError, match="no batch plan"):
             batch.batch_trees(compiled, algebra, [0])
-
-    def test_engine_aliases_resolve(self, monkeypatch):
-        from repro.paths.kernel import resolve_engine
-
-        assert resolve_engine("batch") == "batch"
-        assert resolve_engine("vectorized") == "batch"
-        monkeypatch.setenv(ENGINE_ENV, "batch")
-        assert resolve_engine() == "batch"
 
 
 class TestInvalidation:
@@ -217,12 +205,14 @@ class TestAllPairsAndOracle:
         assign_random_weights(graph, algebra, rng=rng)
         return graph, algebra
 
-    def test_all_pairs_matches_kernel_under_env(self, monkeypatch):
+    def test_all_pairs_matches_per_source_kernel(self, force_path_engine):
         graph, algebra = self._instance()
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
-        kernel_trees = all_pairs_preferred_weights(graph, algebra)
-        monkeypatch.setenv(ENGINE_ENV, "batch")
+        # n >= BATCH_MIN_SOURCES: the default fill is one batch sweep
+        calls = force_path_engine("")
         batch_trees = all_pairs_preferred_weights(graph, algebra)
+        assert calls["batch"] == graph.number_of_nodes()
+        force_path_engine("kernel")
+        kernel_trees = all_pairs_preferred_weights(graph, algebra)
         assert kernel_trees.keys() == batch_trees.keys()
         for node in kernel_trees:
             assert batch_trees[node].weight == kernel_trees[node].weight
@@ -230,15 +220,16 @@ class TestAllPairsAndOracle:
             assert list(batch_trees[node].weight) == list(
                 kernel_trees[node].weight)
 
-    def test_oracle_bulk_build_matches_per_source(self, monkeypatch):
+    def test_oracle_bulk_build_matches_per_source(self, force_path_engine):
         graph, algebra = self._instance(seed=6)
         sources = list(graph.nodes())[:8]
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
-        serial = PreferredWeightOracle(graph, algebra)
-        serial.ensure_sources(sources)
-        monkeypatch.setenv(ENGINE_ENV, "batch")
+        calls = force_path_engine("")
         bulk = PreferredWeightOracle(graph, algebra)
         bulk.ensure_sources(sources)
+        assert calls["batch"] == len(sources)  # one default bulk sweep
+        force_path_engine("kernel")
+        serial = PreferredWeightOracle(graph, algebra)
+        serial.ensure_sources(sources)
         assert bulk.trees_built == serial.trees_built == len(sources)
         assert bulk.trees_requested == serial.trees_requested == len(sources)
         for source in sources:
@@ -249,17 +240,16 @@ class TestAllPairsAndOracle:
         bulk.ensure_sources(sources)
         assert bulk.trees_built == len(sources)
 
-    def test_oracle_single_source_still_works(self, monkeypatch):
+    def test_oracle_single_source_still_works(self, force_path_engine):
         graph, algebra = self._instance(seed=7)
-        monkeypatch.setenv(ENGINE_ENV, "batch")
+        force_path_engine("batch")
         oracle = PreferredWeightOracle(graph, algebra)
         source = next(iter(graph.nodes()))
         oracle.ensure_sources([source])
         assert oracle.trees_built == 1
 
-    def test_batch_counters_emitted(self, monkeypatch):
+    def test_batch_counters_emitted(self):
         graph, algebra = self._instance(seed=8)
-        monkeypatch.setenv(ENGINE_ENV, "batch")
         telemetry_enable()
         telemetry_reset()
         try:

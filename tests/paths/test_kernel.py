@@ -2,12 +2,10 @@
 
 import pickle
 import random
-import warnings
 
 import networkx as nx
 import pytest
 
-from repro import choices
 from repro.algebra.catalog import (
     MinHop,
     MostReliablePath,
@@ -28,9 +26,8 @@ from repro.obs.metrics import (
     registry as telemetry_registry,
     reset as telemetry_reset,
 )
-from repro.paths.dijkstra import preferred_path_tree
+from repro.paths.dijkstra import preferred_path_tree, reference_tree
 from repro.paths.kernel import (
-    ENGINE_ENV,
     compile_graph,
     kernel_tree,
     node_ranks,
@@ -125,7 +122,7 @@ class TestBucketPlan:
         assert compiled.bucket_plan(algebra) is None
         # the heap fallback still answers correctly
         tree = preferred_path_tree(graph, algebra, 0, compiled=compiled)
-        ref = preferred_path_tree(graph, algebra, 0, engine="reference")
+        ref = reference_tree(graph, algebra, 0)
         assert tree.weight == ref.weight
 
     def test_plan_decision_is_memoized(self):
@@ -136,49 +133,9 @@ class TestBucketPlan:
 
 
 class TestEngineResolution:
-    def test_default_is_kernel(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
+    def test_default_is_kernel(self):
         assert resolve_engine() == "kernel"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "reference")
-        assert resolve_engine() == "reference"
-        # the heap frontier is no engine spelling: it warns and defaults
-        monkeypatch.setenv(ENGINE_ENV, "kernel-heap")
-        monkeypatch.setattr(choices, "_WARNED", set())
-        with pytest.warns(RuntimeWarning, match="kernel-heap"):
-            assert resolve_engine() == "kernel"
-
-    def test_invalid_env_value_warns_once_and_defaults(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "warp-drive")
-        monkeypatch.setattr(choices, "_WARNED", set())
-        with pytest.warns(RuntimeWarning, match="warp-drive"):
-            assert resolve_engine() == "kernel"
-        # one warning per bad value per process: the repeat is silent
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_engine() == "kernel"
-
-    def test_invalid_explicit_engine_raises(self):
-        with pytest.raises(ValueError):
-            resolve_engine("warp-drive")
-
-    def test_explicit_argument_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "reference")
-        assert resolve_engine("kernel") == "kernel"
-
-    def test_env_forces_engine_through_preferred_path_tree(self, monkeypatch):
-        algebra = ShortestPath(9)
-        graph = _weighted_er(10, 6, algebra)
-        trees = {}
-        for engine in ("kernel", "reference"):
-            monkeypatch.setenv(ENGINE_ENV, engine)
-            trees[engine] = preferred_path_tree(graph, algebra, 0)
-        heap = kernel_tree(compile_graph(graph, WEIGHT_ATTR), algebra, 0,
-                           buckets=False)
-        assert trees["kernel"].weight == trees["reference"].weight
-        assert trees["kernel"].parent == trees["reference"].parent
-        assert heap.parent == trees["reference"].parent
+        assert resolve_engine(bulk=True) == "auto"
 
 
 class TestDispatchGuards:
@@ -186,7 +143,7 @@ class TestDispatchGuards:
         graph = ring(4)
         assign_random_weights(graph, ShortestPath(), rng=random.Random(0))
         with pytest.raises(AlgebraError):
-            preferred_path_tree(graph, ShortestPath(), 99, engine="kernel")
+            preferred_path_tree(graph, ShortestPath(), 99)
 
     def test_compiled_attr_mismatch_raises(self):
         graph = ring(4)
@@ -204,13 +161,13 @@ class TestCounters:
         telemetry_enable()
         try:
             telemetry_reset()
-            preferred_path_tree(graph, algebra, 0, engine="kernel")
+            preferred_path_tree(graph, algebra, 0)
             registry = telemetry_registry()
             assert registry.counter("path_engine.runs", engine="bucket").value == 1
             assert registry.counter("path_engine.bucket_engaged").value == 1
             assert registry.counter(
                 "path_engine.relaxations", engine="bucket").value > 0
-            preferred_path_tree(graph, algebra, 0, engine="reference")
+            reference_tree(graph, algebra, 0)
             assert registry.counter(
                 "path_engine.runs", engine="reference").value == 1
         finally:
@@ -282,17 +239,6 @@ class TestOracleAdoption:
         oracle.adopt_compiled(donor_other)
         assert oracle.compiled_graph() is not donor_other
 
-    def test_reference_engine_skips_compilation(self, monkeypatch):
-        from repro.core.simulate import PreferredWeightOracle
-
-        monkeypatch.setenv(ENGINE_ENV, "reference")
-        algebra = ShortestPath(9)
-        graph = _weighted_er(10, 12, algebra)
-        oracle = PreferredWeightOracle(graph, algebra)
-        oracle(0, 1)
-        assert oracle.compiled_graph() is None
-        assert oracle.stats()["path_engine"] == "reference"
-
 
 class TestGridAndStringNodes:
     def test_grid_tuple_nodes(self):
@@ -300,17 +246,15 @@ class TestGridAndStringNodes:
         graph = grid(4, 4)
         assign_random_weights(graph, algebra, rng=random.Random(13))
         root = list(graph.nodes())[0]
-        kernel = preferred_path_tree(graph, algebra, root, engine="kernel")
-        reference = preferred_path_tree(graph, algebra, root, engine="reference")
+        kernel = preferred_path_tree(graph, algebra, root)
+        reference = reference_tree(graph, algebra, root)
         assert kernel.weight == reference.weight
         assert kernel.parent == reference.parent
 
     def test_shortest_widest_unsafe_matches_reference(self):
         algebra = shortest_widest_path(9, 9)
         graph = _weighted_er(10, 14, algebra)
-        kernel = preferred_path_tree(graph, algebra, 0, unsafe=True,
-                                     engine="kernel")
-        reference = preferred_path_tree(graph, algebra, 0, unsafe=True,
-                                        engine="reference")
+        kernel = preferred_path_tree(graph, algebra, 0, unsafe=True)
+        reference = reference_tree(graph, algebra, 0, unsafe=True)
         assert kernel.weight == reference.weight
         assert kernel.parent == reference.parent

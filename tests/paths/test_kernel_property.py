@@ -19,7 +19,12 @@ from repro.algebra.lexicographic import (
 )
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.weighting import assign_random_weights
-from repro.paths.dijkstra import PathTree, compile_graph, preferred_path_tree
+from repro.paths.dijkstra import (
+    PathTree,
+    compile_graph,
+    preferred_path_tree,
+    reference_tree,
+)
 from repro.paths.kernel import kernel_tree
 
 # (factory, needs unsafe): shortest-widest is declared non-isotone — the
@@ -48,13 +53,12 @@ def test_engines_produce_identical_path_trees(seed, n, algebra_index):
     assign_random_weights(graph, algebra, rng=rng)
     compiled = compile_graph(graph)
     for root in graph.nodes():
-        reference = preferred_path_tree(graph, algebra, root, unsafe=unsafe,
-                                        engine="reference")
+        reference = reference_tree(graph, algebra, root, unsafe=unsafe)
         # the kernel's heap fallback, for algebras that cannot bucket
         run = kernel_tree(compiled, algebra, root, buckets=False)
         heap = PathTree(root, run.weight, run.parent)
         kernel = preferred_path_tree(graph, algebra, root, unsafe=unsafe,
-                                     engine="kernel", compiled=compiled)
+                                     compiled=compiled)
         for engine, tree in (("kernel", kernel), ("kernel-heap", heap)):
             assert tree.root == reference.root
             assert tree.weight == reference.weight, (engine, root)

@@ -150,12 +150,9 @@ class TestRunTelemetryCommands:
         assert "stragglers:" in out
         assert "shard_heartbeat" in out
 
-    def test_record_run_manifest_contents(self, tmp_path, monkeypatch):
+    def test_record_run_manifest_contents(self, tmp_path):
         import json
 
-        from repro.paths.kernel import ENGINE_ENV
-
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
         run_dir = tmp_path / "run"
         assert main(["evaluate", "widest-path", "--n", "12",
                      "--record-run", str(run_dir)]) == 0
