@@ -5,8 +5,9 @@ events``) instruments the pair-routing hot loop with heartbeats, so its
 *disabled* cost has to be provably negligible — the same bar the metrics
 registry meets.  This benchmark prices the no-op path directly:
 
-* ``emit()`` with events disabled is timed over a large call batch to get
-  a per-call cost (a module-flag test and immediate return);
+* ``emit()`` with telemetry off (events ride the one telemetry flag) is
+  timed over a large call batch to get a per-call cost (a module-flag
+  test and immediate return);
 * a kernel-engine preferred-tree sweep (the ``test_dijkstra_kernel``
   workload, scaled down) gives the per-pair routing work it would dilute
   into.
@@ -30,6 +31,7 @@ from repro.algebra import ShortestPath
 from repro.graphs import assign_random_weights, erdos_renyi
 from repro.graphs.weighting import WEIGHT_ATTR
 from repro.obs import events
+from repro.obs.metrics import disable, enable, enabled
 from repro.paths.dijkstra import compile_graph, preferred_path_tree
 
 N = 512
@@ -42,7 +44,7 @@ MAX_OVERHEAD_PCT = 2.0
 
 def _disabled_emit_cost():
     """Best-of-``REPEATS`` per-call seconds for a disabled ``emit()``."""
-    assert not events.enabled()
+    assert not enabled()
     emit = events.emit
     best = float("inf")
     for _ in range(REPEATS):
@@ -54,14 +56,14 @@ def _disabled_emit_cost():
 
 
 def _disabled_guard_cost():
-    """Per-iteration seconds for the hot-loop guard with events off.
+    """Per-iteration seconds for the hot-loop guard with telemetry off.
 
     This is the exact pattern ``route_shard`` runs per routed pair: a
     local-boolean test that short-circuits the heartbeat bookkeeping.
     Loop overhead is deliberately charged to the guard (conservative).
     """
-    assert not events.enabled()
-    events_on = events.enabled()
+    assert not enabled()
+    events_on = enabled()
     emit = events.emit
     best = float("inf")
     for _ in range(REPEATS):
@@ -91,14 +93,14 @@ def _tree_sweep_cost():
 
 
 def test_disabled_events_are_free():
-    was_enabled = events.enabled()
-    events.disable()
+    was_enabled = enabled()
+    disable()
     try:
         per_guard = _disabled_guard_cost()
         per_emit = _disabled_emit_cost()
     finally:
         if was_enabled:
-            events.enable()
+            enable()
     per_source = _tree_sweep_cost()
 
     # Worst case: one guarded heartbeat check per routed pair, charged

@@ -11,8 +11,8 @@ Commands:
 * ``evaluate <policy>`` — the :func:`repro.run_experiment` facade:
   build + evaluate under one seed, with ``--pairs N`` sampling,
   ``--workers N`` sharded parallel evaluation, a live progress line on a
-  TTY (``--progress``/``--quiet``, ``REPRO_NO_PROGRESS``) and
-  ``--record-run DIR`` durable run manifests;
+  TTY (``--progress``/``--quiet``) and ``--record-run DIR`` durable run
+  manifests;
 * ``profile <policy>`` — run the full pipeline with telemetry enabled and
   dump phase timers, metrics and protocol message counts as JSON
   (``--workers N`` parallelizes the pair evaluation; the same
@@ -185,28 +185,17 @@ def cmd_route(args) -> int:
     graph = _topology(algebra, is_bgp, args.topology, args.n, args.seed)
     mode = "compact" if args.compact else "auto"
     n = graph.number_of_nodes()
-    was_enabled = obs.enabled()
-    if args.trace:
-        obs.enable()
-    run_ui = _RunTelemetry("route", args, n * (n - 1), {
-        "policy": args.policy, "topology": args.topology, "n": n,
-        "m": graph.number_of_edges(), "seed": args.seed, "mode": mode,
-    })
-    try:
-        result = run_experiment(
+    with _RunTelemetry("route", args) as run:
+        run.start(n * (n - 1), {
+            "policy": args.policy, "topology": args.topology, "n": n,
+            "m": graph.number_of_edges(), "seed": args.seed, "mode": mode,
+        })
+        report = run_experiment(
             graph, algebra, mode=mode,
             options=EvaluationOptions(trace_limit=args.trace_limit,
                                       rng=args.seed + 1),
-        )
-        report = result.report
-    except BaseException:
-        run_ui.abort()
-        if not was_enabled:
-            obs.disable()
-        raise
-    run_ui.finish(report)
-    if not was_enabled:
-        obs.disable()
+        ).report
+        run.finish(report)
     if args.json:
         payload = {
             "policy": args.policy,
@@ -233,64 +222,62 @@ def cmd_route(args) -> int:
 
 
 class _RunTelemetry:
-    """Live progress + durable run recording around one CLI experiment.
+    """The one place a CLI command turns observability on and restores it.
 
-    Activated when the user asked for live progress (``--progress``, or a
-    TTY without ``--quiet``/``--json``/``REPRO_NO_PROGRESS``) or for a
-    durable record (``--record-run DIR``).  Either way the run-event
-    stream (and full telemetry, which the manifest snapshots) is switched
-    on for the duration of the command and restored afterwards; a
-    ``run_started``/``run_finished`` pair brackets the experiment.
+    A context manager around one command.  It switches telemetry (metrics,
+    spans and the run-event stream, one flag) on when the command asks
+    for anything observable — live progress (``--progress``, or a TTY
+    without ``--quiet``/``--json``), a durable record (``--record-run
+    DIR``), packet traces (``--trace``), or *force* (``profile``) — and
+    on exit puts the flag back the way it found it.  :meth:`start` opens
+    the run (live renderer, ``run_started``) and :meth:`finish` closes it
+    (``run_finished``, manifest + event log); leaving the block without
+    :meth:`finish`, e.g. on an exception, writes no manifest.
     """
 
-    def __init__(self, command: str, args, total_pairs: Optional[int],
-                 config: dict, reset: bool = True):
+    def __init__(self, command: str, args, force: bool = False):
         self.command = command
-        self.config = config
-        self.total_pairs = total_pairs
+        self.config: dict = {}
         self.record_dir = getattr(args, "record_run", None)
-        json_mode = bool(getattr(args, "json", False))
-        show = obs_progress.should_show_progress(
+        self.show = obs_progress.should_show_progress(
             progress=getattr(args, "progress", False),
             quiet=getattr(args, "quiet", False),
-            json_mode=json_mode, stream=sys.stderr)
-        self.active = bool(self.record_dir) or show
+            json_mode=bool(getattr(args, "json", False)), stream=sys.stderr)
+        self.active = (force or self.show or bool(self.record_dir)
+                       or bool(getattr(args, "trace", False)))
         self.renderer = None
+        self.started_at = time.time()
+
+    def __enter__(self) -> "_RunTelemetry":
+        if self.active:
+            self._was_enabled = obs.enabled()
+            obs.enable()
+            obs.reset_all()
+        return self
+
+    def start(self, total_pairs: Optional[int], config: dict) -> None:
+        """Open the run: attach the live renderer and emit ``run_started``."""
+        self.config = config
         self.started_at = time.time()
         if not self.active:
             return
-        self._was_obs = obs.enabled()
-        self._was_events = obs_events.enabled()
-        obs.enable()
-        obs_events.enable()
-        if reset:
-            obs.reset_all()
-        if show:
+        if self.show:
             self.renderer = obs_progress.ProgressRenderer(
-                sys.stderr, total_pairs=total_pairs, label=command)
+                sys.stderr, total_pairs=total_pairs, label=self.command)
             obs_events.set_live_consumer(self.renderer.handle)
-        obs_events.emit("run_started", command=command,
+        obs_events.emit("run_started", command=self.command,
                         pairs_total=total_pairs,
                         **{key: value for key, value in config.items()
                            if isinstance(value, (str, int, float))})
 
-    def abort(self) -> None:
-        """Tear down renderer and enable-flags without writing a manifest."""
-        if not self.active:
-            return
+    def _close_renderer(self) -> None:
         if self.renderer is not None:
             obs_events.set_live_consumer(None)
             self.renderer.close()
             self.renderer = None
-        if not self._was_events:
-            obs_events.disable()
-            obs_events.clear_events()
-        if not self._was_obs:
-            obs.disable()
-        self.active = False
 
     def finish(self, report=None) -> None:
-        """Close the run: final event, manifest + event log, restore state."""
+        """Close the run: final event, then the manifest + event log."""
         if not self.active:
             return
         from repro.core import parallel as _parallel
@@ -303,10 +290,7 @@ class _RunTelemetry:
                     "optimal": report.optimal}
         obs_events.emit("run_finished",
                         duration_s=finished_at - self.started_at, **data)
-        if self.renderer is not None:
-            obs_events.set_live_consumer(None)
-            self.renderer.close()
-            self.renderer = None
+        self._close_renderer()
         if self.record_dir:
             run_info = _parallel.last_run_info()
             engine = {
@@ -329,12 +313,14 @@ class _RunTelemetry:
                                                               manifest)
             print(f"recorded run -> {manifest_path} + {events_path}",
                   file=sys.stderr)
-        if not self._was_events:
-            obs_events.disable()
-            obs_events.clear_events()
-        if not self._was_obs:
+
+    def __exit__(self, *exc_info) -> None:
+        if not self.active:
+            return
+        self._close_renderer()
+        if not self._was_enabled:
             obs.disable()
-        self.active = False
+            obs_events.clear_events()
 
 
 def _print_fallback_cause() -> None:
@@ -371,27 +357,20 @@ def cmd_evaluate(args) -> int:
         rng=args.seed + 1,
     )
     n = graph.number_of_nodes()
-    total_pairs = args.pairs if args.pairs is not None else n * (n - 1)
-    was_enabled = obs.enabled()
-    if args.trace:
-        obs.enable()
-    run_ui = _RunTelemetry("evaluate", args, total_pairs, {
-        "policy": args.policy, "topology": args.topology, "n": n,
-        "m": graph.number_of_edges(), "seed": args.seed,
-        "pairs": total_pairs, "workers": args.workers or 0,
-        "mode": mode,
-    })
-    try:
+    # sample_pairs routes at most every ordered pair, whatever --pairs asks.
+    total_pairs = n * (n - 1)
+    if args.pairs is not None:
+        total_pairs = min(args.pairs, total_pairs)
+    with _RunTelemetry("evaluate", args) as run:
+        run.start(total_pairs, {
+            "policy": args.policy, "topology": args.topology, "n": n,
+            "m": graph.number_of_edges(), "seed": args.seed,
+            "pairs": total_pairs, "workers": args.workers or 0,
+            "mode": mode,
+        })
         result = run_experiment(graph, algebra, mode=mode, options=options)
         report = result.report
-    except BaseException:
-        run_ui.abort()
-        if not was_enabled:
-            obs.disable()
-        raise
-    run_ui.finish(report)
-    if not was_enabled:
-        obs.disable()
+        run.finish(report)
     if args.json:
         payload = {
             "policy": args.policy,
@@ -430,19 +409,15 @@ def cmd_evaluate(args) -> int:
 def cmd_profile(args) -> int:
     """End-to-end pipeline under full telemetry; emits one JSON document."""
     algebra, is_bgp = _policy(args.policy)
-    was_enabled = obs.enabled()
-    obs.enable()
-    obs.reset_all()
-    run_ui = None
-    try:
+    with _RunTelemetry("profile", args, force=True) as run:
         graph = _topology(algebra, is_bgp, args.topology, args.n, args.seed)
         mode = "compact" if args.compact else "auto"
         n = graph.number_of_nodes()
-        run_ui = _RunTelemetry("profile", args, n * (n - 1), {
+        run.start(n * (n - 1), {
             "policy": args.policy, "topology": args.topology, "n": n,
             "m": graph.number_of_edges(), "seed": args.seed,
             "workers": args.workers or 0, "mode": mode,
-        }, reset=False)
+        })
         result = run_experiment(
             graph, algebra, mode=mode,
             options=EvaluationOptions(trace_limit=args.trace_limit,
@@ -450,13 +425,13 @@ def cmd_profile(args) -> int:
                                       rng=args.seed + 1),
         )
         scheme, report = result.scheme, result.report
-        run_ui.finish(report)
-        run_ui = None
+        run.finish(report)
 
         # Protocol simulations on a copy (fail_edge and friends mutate), so
-        # the profile also carries message/convergence accounting.
-        # Protocols that do not apply to this instance (digraphs,
-        # non-regular algebras) are skipped and listed as such.
+        # the profile also carries message/convergence accounting, each
+        # under its own ``protocol`` span.  Protocols that do not apply to
+        # this instance (digraphs, non-regular algebras) are skipped and
+        # listed as such.
         protocols = {}
         from repro.protocols.distance_vector import DistanceVectorSimulation
         from repro.protocols.link_state import LinkStateSimulation
@@ -469,16 +444,12 @@ def cmd_profile(args) -> int:
             ("link-state", lambda: LinkStateSimulation(graph.copy(), algebra)),
         ):
             try:
-                protocols[name] = factory().run().summary()
+                with obs.span("protocol", protocol=name):
+                    protocols[name] = factory().run().summary()
             except ReproError as exc:
                 protocols[name] = f"skipped: {exc}"
 
         snapshot = obs.telemetry_snapshot()
-    finally:
-        if run_ui is not None:
-            run_ui.abort()
-        if not was_enabled:
-            obs.disable()
     from repro.paths.kernel import resolve_engine
 
     # The path-engine view: the engine the code picks ("auto": batch for
@@ -575,11 +546,11 @@ def cmd_serve(args) -> int:
     graph = _topology(algebra, is_bgp, args.topology, args.n, args.seed)
     mode = "compact" if args.compact else "auto"
     n = graph.number_of_nodes()
-    run_ui = _RunTelemetry("serve", args, None, {
-        "policy": args.policy, "topology": args.topology, "n": n,
-        "m": graph.number_of_edges(), "seed": args.seed, "mode": mode,
-    })
-    try:
+    with _RunTelemetry("serve", args) as run:
+        run.start(None, {
+            "policy": args.policy, "topology": args.topology, "n": n,
+            "m": graph.number_of_edges(), "seed": args.seed, "mode": mode,
+        })
         service = RoutingService(
             graph, algebra, ServiceOptions(mode=mode, seed=args.seed + 1))
         if not args.quiet:
@@ -590,10 +561,7 @@ def cmd_serve(args) -> int:
             code = serve_socket(service, host=args.host, port=args.port)
         else:
             code = serve_stdio(service)
-    except BaseException:
-        run_ui.abort()
-        raise
-    run_ui.finish()
+        run.finish()
     return code
 
 
@@ -690,13 +658,12 @@ def _add_telemetry_options(parser: argparse.ArgumentParser, *,
     Every subcommand that goes through here gets ``--progress``,
     ``--quiet`` and ``--record-run DIR`` with identical semantics.  The
     precedence rule (implemented once, in
-    :func:`repro.obs.progress.should_show_progress`): the
-    ``REPRO_NO_PROGRESS`` environment variable and ``--quiet`` always
-    win; ``--json`` implies quiet; an explicit ``--progress`` then forces
+    :func:`repro.obs.progress.should_show_progress`): ``--quiet`` always
+    wins; ``--json`` implies quiet; an explicit ``--progress`` then forces
     the live line; otherwise progress renders only on a TTY.
-    ``--record-run`` is independent of all of the above — it switches the
-    run-event stream on and writes a durable manifest + event log whether
-    or not anything rendered live.
+    ``--record-run`` is independent of all of the above — it switches
+    telemetry (and with it the run-event stream) on and writes a durable
+    manifest + event log whether or not anything rendered live.
 
     ``--trace``/``--trace-limit`` appear on commands that can print
     hop-by-hop packet traces (*trace_default* is the per-command capture

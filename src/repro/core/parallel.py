@@ -27,20 +27,22 @@ explicitly instead of relying on shard contiguity:
 * worker :class:`~repro.obs.metrics.MetricsRegistry` objects merge into
   the parent registry, and worker span logs are appended to the parent's.
 
-Worker setup follows the platform's best start method (overridable with
-the ``REPRO_START_METHOD`` environment variable — CI uses it to exercise
-the spawn path on Linux):
+Worker setup follows :data:`START_METHOD`: ``fork`` where the platform
+has it, the platform default elsewhere (tests substitute ``spawn``
+in-process to exercise that path on Linux):
 
 * **fork** (Linux, the common case): workers inherit the parent's graph,
   scheme and — crucially — the cached lazy oracle with every tree it has
   accumulated, by copy-on-write; nothing heavyweight is pickled and each
   worker builds only the trees its shards still miss;
-* **spawn** (fallback): the graph, algebra and scheme are pickled to each
-  worker once via the pool initializer; the worker's process-local
-  :data:`~repro.core.simulate.oracle_cache` then hands out a *lazy*
-  oracle, so startup runs **zero** Dijkstra sweeps and each worker builds
-  only its shards' source trees — ``O(sources_per_shard)`` instead of the
-  pre-PR-4 ``O(n)`` per worker.
+* **spawn** (platforms without fork): the graph, algebra and scheme are
+  pickled to each worker once via the pool initializer, with the
+  parent's :class:`~repro.paths.kernel.CompiledGraph` and the scheme's
+  compiled query tables (the latter over shared memory); the worker's
+  process-local :data:`~repro.core.simulate.oracle_cache` then hands out
+  a *lazy* oracle, so startup runs **zero** Dijkstra sweeps and each
+  worker builds only its shards' source trees — ``O(sources_per_shard)``
+  instead of ``O(n)`` per worker.
 
 Shard execution is **fault-tolerant** (PR 8): each shard is submitted as
 its own future, so a worker death (an OOM kill, a crash, or a shard
@@ -75,7 +77,6 @@ import pickle
 import queue as _queue_mod
 import threading
 import time
-import warnings
 from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures import wait as _cf_wait
 from concurrent.futures.process import BrokenProcessPool
@@ -95,18 +96,17 @@ from repro.obs.metrics import (
     reset as _metrics_reset,
     swap_registry as _swap_registry,
 )
-from repro.paths import batch as _batch
 from repro.routing import compiled_query as _compiled_query
 
 #: Shards per worker when ``shard_size`` is not pinned: a few per worker
 #: smooths out per-shard cost variance without drowning in task overhead.
 SHARDS_PER_WORKER = 4
 
-#: Environment variable forcing the pool start method (fork/spawn/forkserver).
-START_METHOD_ENV = "REPRO_START_METHOD"
-
-#: ``REPRO_START_METHOD`` values already warned about.
-_WARNED_START_METHODS: set = set()
+#: The pool start method: ``fork`` where the platform has it (workers
+#: inherit the parent's warm oracle by copy-on-write), else None for the
+#: platform default.
+START_METHOD = ("fork" if "fork" in multiprocessing.get_all_start_methods()
+                else None)
 
 #: Re-issues granted to each lost shard before the serial fallback fires.
 SHARD_RETRIES = 2
@@ -120,17 +120,24 @@ _POLL_INTERVAL_S = 0.05
 
 
 def shard_timeout(environ: Optional[Dict[str, str]] = None) -> Optional[float]:
-    """The per-shard timeout in seconds, or None when disabled (default)."""
+    """The per-shard timeout in seconds, or None when disabled (default).
+
+    Unset, empty or ``0`` disables the timeout.  Anything else must be a
+    positive number of seconds: a malformed or negative value raises
+    ``ValueError`` instead of silently running without a timeout.
+    """
     environ = os.environ if environ is None else environ
     raw = str(environ.get(SHARD_TIMEOUT_ENV, "")).strip()
-    if raw:
-        try:
-            value = float(raw)
-        except ValueError:
-            return None
-        if value > 0:
-            return value
-    return None
+    if not raw:
+        return None
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not value >= 0:
+        raise ValueError(f"{SHARD_TIMEOUT_ENV} must be a non-negative number "
+                         f"of seconds, got {raw!r}")
+    return value or None
 
 
 @dataclass
@@ -233,33 +240,6 @@ def shard_pairs_by_source(pairs: Sequence[Tuple], workers: int,
     return shards, index_lists
 
 
-def _start_method() -> Optional[str]:
-    """The pool start method: ``REPRO_START_METHOD`` when valid, else fork.
-
-    An unrecognized value applies the default after one
-    ``RuntimeWarning`` per value per process, so a typo never silently
-    runs the wrong start method.
-    """
-    methods = multiprocessing.get_all_start_methods()
-    default = "fork" if "fork" in methods else None
-    raw = os.environ.get(START_METHOD_ENV, "").strip()
-    value = raw.lower()
-    if not value:
-        return default
-    if value in methods:
-        return value
-    if value not in _WARNED_START_METHODS:
-        _WARNED_START_METHODS.add(value)
-        warnings.warn(
-            f"unrecognized {START_METHOD_ENV} value {raw!r}; using the "
-            f"default start method {default!r} (recognized: "
-            f"{', '.join(methods)})",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return default
-
-
 # ---------------------------------------------------------------------------
 # worker side
 # ---------------------------------------------------------------------------
@@ -302,15 +282,12 @@ def _init_fork_worker(live_queue=None, started_queue=None) -> None:
 
 
 def _init_spawn_worker(payload: bytes, telemetry_enabled: bool,
-                       events_enabled: bool = False, live_queue=None,
-                       started_queue=None) -> None:
+                       live_queue=None, started_queue=None) -> None:
     global _WORKER_STATE
     (graph, algebra, scheme, attr, max_k, trace_limit,
-     compiled, shared_batch, shared_query) = pickle.loads(payload)
+     compiled, shared_query) = pickle.loads(payload)
     if telemetry_enabled:
         _telemetry_enable()
-    if events_enabled:
-        _events.enable()
     # One *lazy* oracle per worker process, shared by every shard it runs:
     # no trees are built here — each shard's route_shard bulk-builds only
     # the sources that shard actually routes from.
@@ -318,14 +295,12 @@ def _init_spawn_worker(payload: bytes, telemetry_enabled: bool,
                                         scheme_name=scheme.name)
     if compiled is not None and hasattr(oracle, "adopt_compiled"):
         # The parent shipped its CompiledGraph (flattened from the very
-        # graph in this payload), so the worker's sweeps skip recompiling.
+        # graph in this payload), so the worker's sweeps skip recompiling;
+        # a batch plan is rebuilt from it on first sweep (milliseconds).
         oracle.adopt_compiled(compiled)
-        # Map the parent's exported batch plan zero-copy instead of
-        # re-deriving it.  Failure is harmless (the worker rebuilds its
-        # own arrays on first sweep).
-        _batch.attach_shared(compiled, algebra, shared_batch)
-    # Same for the scheme's compiled *query* tables: a failed attach
-    # means the worker compiles its own tables on first shard.
+    # Map the scheme's compiled *query* tables zero-copy (compiling them
+    # costs far more than the plan): a failed attach means the worker
+    # compiles its own tables on first shard.
     _compiled_query.attach_shared_query(scheme, shared_query)
     _WORKER_STATE = (graph, algebra, scheme, oracle, attr, max_k, trace_limit)
     _set_started_queue(started_queue)
@@ -351,8 +326,8 @@ def _run_shard(task: Tuple[int, int, List[Tuple]]) -> ShardResult:
             _STARTED_QUEUE.put((shard_id, attempt, os.getpid()))
         except Exception:
             pass  # a torn notification must never fail the shard
-    events_on = _events.enabled()
-    if events_on:
+    telemetry = _telemetry_enabled()
+    if telemetry:
         _events.set_current_shard(shard_id)
     started_at = time.time()
     start = time.perf_counter()
@@ -364,16 +339,16 @@ def _run_shard(task: Tuple[int, int, List[Tuple]]) -> ShardResult:
     result.started_at = started_at
     result.duration_s = time.perf_counter() - start
     result.attempt = attempt
-    if _telemetry_enabled():
-        # Hand each shard's telemetry over exactly once: detach the live
-        # registry (kept intact for pickling) and start the next shard empty.
-        result.registry = _swap_registry()
-        result.spans = _tracing.spans()
-        _tracing.clear_spans()
-    if events_on:
+    if telemetry:
         _events.emit("shard_completed", shard=shard_id, pairs=len(shard),
                      routed=result.routed, delivered=result.delivered,
                      duration_s=result.duration_s, attempt=attempt)
+        # Hand each shard's telemetry over exactly once: detach the live
+        # registry and event log (kept intact for pickling) and start the
+        # next shard empty.
+        result.registry = _swap_registry()
+        result.spans = _tracing.spans()
+        _tracing.clear_spans()
         result.events = _events.swap_log().events
         _events.set_current_shard(None)
     return result
@@ -527,7 +502,6 @@ def _execute_shards(shards: List[List[Tuple]], workers: int, context,
     full-serial last-resort fallback.
     """
     timeout = shard_timeout()
-    events_on = _events.enabled()
     telemetry = _telemetry()
     results: Dict[int, ShardResult] = {}
     attempts = [0] * len(shards)
@@ -558,9 +532,8 @@ def _execute_shards(shards: List[List[Tuple]], workers: int, context,
         lost_total += len(lost)
         displaced_total += len(displaced)
         for shard_id in lost:
-            if events_on:
-                _events.emit("shard_lost", shard=shard_id, cause=cause,
-                             attempt=attempts[shard_id])
+            _events.emit("shard_lost", shard=shard_id, cause=cause,
+                         attempt=attempts[shard_id])
             attempts[shard_id] += 1
             if attempts[shard_id] > SHARD_RETRIES:
                 run_info.recovery = _recovery_summary(
@@ -569,12 +542,11 @@ def _execute_shards(shards: List[List[Tuple]], workers: int, context,
         if lost:
             telemetry.counter("parallel.shard_retries").inc(len(lost))
         telemetry.counter("parallel.pool_rebuilds").inc()
-        if events_on:
-            _events.emit("pool_rebuilt", round=rebuilds, lost=len(lost),
-                         displaced=len(displaced), cause=cause)
-            for shard_id in lost:
-                _events.emit("shard_retried", shard=shard_id,
-                             attempt=attempts[shard_id], cause=cause)
+        _events.emit("pool_rebuilt", round=rebuilds, lost=len(lost),
+                     displaced=len(displaced), cause=cause)
+        for shard_id in lost:
+            _events.emit("shard_retried", shard=shard_id,
+                         attempt=attempts[shard_id], cause=cause)
     if rebuilds:
         run_info.recovery = _recovery_summary(
             lost_total, displaced_total, rebuilds, recovered=True)
@@ -663,14 +635,14 @@ def _fold_traces(shards: List[List[Tuple]], index_lists: List[List[int]],
 
 
 def _fold_worker_telemetry(results: List[ShardResult]) -> None:
-    """Merge worker registries and span logs into this process's.
+    """Merge worker registries, span logs and event buffers into this process's.
 
     :func:`_execute_shards` returns results ordered by shard id (whatever
-    pool a shard's final attempt ran in), so the folded span log (and the
-    event fold below) is deterministic in **shard order** no matter which
-    worker ran which shard when — and each shard's telemetry folds
-    exactly once: a killed attempt's partial telemetry died with its
-    worker, and only the completing attempt ships a registry.
+    pool a shard's final attempt ran in), so the folded span and event
+    logs are deterministic in **shard order** no matter which worker ran
+    which shard when — and each shard's telemetry folds exactly once: a
+    killed attempt's partial telemetry died with its worker, and only the
+    completing attempt ships a registry.
     """
     live = _live_registry()
     for result in results:
@@ -680,11 +652,6 @@ def _fold_worker_telemetry(results: List[ShardResult]) -> None:
         if result.spans:
             _tracing.extend_spans(result.spans)
             result.spans = None
-
-
-def _fold_worker_events(results: List[ShardResult]) -> None:
-    """Append each shard's worker event buffer to the parent log, in order."""
-    for result in results:
         if result.events:
             _events.extend_events(result.events)
         result.events = None
@@ -737,8 +704,7 @@ def _serial_fallback(algebra, scheme, oracle, pairs, max_k, trace_limit,
     _telemetry().counter("parallel.fallback", reason=reason).inc()
     if _LAST_RUN is not None:
         _LAST_RUN.fallback = FallbackInfo(reason=reason, cause=cause)
-    if _events.enabled():
-        _events.emit("fallback_triggered", reason=reason, cause=cause)
+    _events.emit("fallback_triggered", reason=reason, cause=cause)
     return route_shard(algebra, scheme, oracle, pairs,
                        max_k=max_k, trace_limit=trace_limit)
 
@@ -751,7 +717,7 @@ def _live_event_pump(context):
     drain thread is a daemon and delivery is lossy by design; it exists
     only to animate the progress renderer.
     """
-    if not (_events.enabled() and _events.live_consumer() is not None):
+    if not (_telemetry_enabled() and _events.live_consumer() is not None):
         return None, lambda: None
     live_queue = context.Queue()
     stop = threading.Event()
@@ -801,19 +767,15 @@ def evaluate_sharded(graph, algebra, scheme, oracle, pairs: Sequence[Tuple],
 
     workers = min(workers, len(shards))
     telemetry = _telemetry_enabled()
-    events_on = _events.enabled()
-    method = _start_method()
+    method = START_METHOD
     use_fork = method == "fork"
     _LAST_RUN = run_info = ParallelRunInfo(start_method=method,
                                            workers=workers)
 
-    if use_fork:
-        context = multiprocessing.get_context("fork")
-    else:
-        context = multiprocessing.get_context(method)
+    context = multiprocessing.get_context(method)
     live_queue, stop_pump = _live_event_pump(context)
 
-    shared_handles: List = []
+    query_handles = None
     if use_fork:
         initializer, initargs = _init_fork_worker, (live_queue,)
         _WORKER_STATE = (graph, algebra, scheme, oracle, scheme.attr,
@@ -827,38 +789,32 @@ def evaluate_sharded(graph, algebra, scheme, oracle, pairs: Sequence[Tuple],
             compiled_getter = getattr(oracle, "compiled_graph", None)
             if compiled_getter is not None:
                 compiled = compiled_getter()
-            # Worker bulk fills may batch, so export the plan's int arrays
+            # The vectorized query engine's compiled scheme tables go
             # through shared memory: every worker (pool rebuilds included
             # — they reuse these initargs) maps one copy instead of
-            # materializing its own.  The parent owns the segments and
-            # unlinks them in the finally below, after the last round.
-            batch_descriptor = None
-            if compiled is not None:
-                handles, batch_descriptor = _batch.export_shared(compiled,
-                                                                 algebra)
-                shared_handles.extend(handles or ())
-            # Same for the vectorized query engine's compiled scheme
-            # tables — only when the engine will actually run (telemetry
-            # forces the reference loop for trace fidelity).
+            # compiling its own.  Only when the engine will actually run
+            # (telemetry forces the reference loop for trace fidelity).
+            # The parent owns the segments and unlinks them in the
+            # finally below, after the last round.
             query_descriptor = None
             if not telemetry:
-                handles, query_descriptor = _compiled_query.export_shared_query(
-                    _compiled_query.compile_query(scheme))
-                shared_handles.extend(handles or ())
+                query_handles, query_descriptor = (
+                    _compiled_query.export_shared_query(
+                        _compiled_query.compile_query(scheme)))
             payload = pickle.dumps(
                 (graph, algebra, scheme, scheme.attr, max_k, trace_limit,
-                 compiled, batch_descriptor, query_descriptor)
+                 compiled, query_descriptor)
             )
         except Exception as exc:
-            shared_arrays.close(shared_handles, unlink=True)
+            shared_arrays.close(query_handles, unlink=True)
             stop_pump()
             return _serial_fallback(algebra, scheme, oracle, pairs, max_k,
                                     trace_limit, reason="unpicklable",
                                     cause=repr(exc))
         initializer = _init_spawn_worker
-        initargs = (payload, telemetry, events_on, live_queue)
+        initargs = (payload, telemetry, live_queue)
 
-    if events_on:
+    if telemetry:
         for shard_id, shard in enumerate(shards):
             _events.emit("shard_dispatched", shard=shard_id,
                          pairs=len(shard),
@@ -883,7 +839,7 @@ def evaluate_sharded(graph, algebra, scheme, oracle, pairs: Sequence[Tuple],
                                 cause=repr(exc))
     finally:
         stop_pump()
-        shared_arrays.close(shared_handles, unlink=True)
+        shared_arrays.close(query_handles, unlink=True)
         if use_fork:
             _WORKER_STATE = None
 
@@ -898,8 +854,6 @@ def evaluate_sharded(graph, algebra, scheme, oracle, pairs: Sequence[Tuple],
     else:
         traces, dropped = (), 0
     _record_shard_timings(shards, results, run_info)
-    if events_on:
-        _fold_worker_events(results)
     merged = results[0]
     for result in results[1:]:
         merged.merge(result)

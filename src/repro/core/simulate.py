@@ -838,7 +838,6 @@ def route_shard(algebra: RoutingAlgebra, scheme: RoutingScheme,
     maybe_inject_fault(shard_id, attempt)
     telemetry = _telemetry_enabled()
     registry = _telemetry()
-    events_on = _events.enabled()
     pairs = list(pairs)
     # The shard's distinct sources in first-appearance order — the same
     # order ``ensure_sources`` would dedup to, materialized once for both
@@ -848,11 +847,11 @@ def route_shard(algebra: RoutingAlgebra, scheme: RoutingScheme,
         built_before = getattr(oracle, "trees_built", 0)
         with _obs_tracing.span("oracle_trees", scheme=scheme.name):
             oracle.ensure_sources(shard_sources)
-        if events_on:
+        if telemetry:
             _events.emit("oracle_trees_built",
                          sources=len(shard_sources),
                          built=getattr(oracle, "trees_built", 0) - built_before)
-    if events_on:
+    if telemetry:
         # At least one durable heartbeat per shard, then one every
         # pair-count stride; wall-clock extras ride the live-only path so
         # the durable stream stays deterministic under any scheduling.
@@ -860,9 +859,9 @@ def route_shard(algebra: RoutingAlgebra, scheme: RoutingScheme,
         heartbeat_stride = max(1, len(pairs) // HEARTBEATS_PER_SHARD)
         last_live_heartbeat = time.monotonic()
     # The vectorized engine cannot reproduce per-hop artifacts (packet
-    # traces, evaluate.hops/pair_seconds histograms), so any run that
-    # records them takes the reference loop; plain throughput runs go
-    # vectorized with per-scheme fallback inside evaluate_shard.
+    # traces, heartbeats, evaluate.hops/pair_seconds histograms), so any
+    # run that records them takes the reference loop; plain throughput
+    # runs go vectorized with per-scheme fallback inside evaluate_shard.
     if telemetry or _obs_tracing.active_capture() is not None:
         _query_engine.count_query_fallback("trace-fidelity", pairs=len(pairs))
     else:
@@ -870,13 +869,6 @@ def route_shard(algebra: RoutingAlgebra, scheme: RoutingScheme,
         batch = _compiled_query.evaluate_shard(algebra, scheme, oracle, pairs)
         if batch is not None:
             routed, delivered, optimal, failures, samples = batch
-            if events_on:
-                # Replicate the reference loop's durable heartbeat cadence
-                # so the shard's event stream is engine-proof.
-                for done in range(heartbeat_stride, len(pairs) + 1,
-                                  heartbeat_stride):
-                    _events.emit("shard_heartbeat", pairs_done=done,
-                                 pairs_total=len(pairs))
             stretch = measure_stretch(algebra, samples,
                                       scheme_name=scheme.name, max_k=max_k)
             return ShardResult(
@@ -896,7 +888,7 @@ def route_shard(algebra: RoutingAlgebra, scheme: RoutingScheme,
             (_obs_tracing.capture_traces(limit=trace_limit) if own_capture else
              nullcontext()) as capture:
         for s, t in pairs:
-            if events_on:
+            if telemetry:
                 processed += 1
                 if processed % heartbeat_stride == 0:
                     _events.emit("shard_heartbeat", pairs_done=processed,

@@ -1,9 +1,11 @@
-"""Observability layer: metrics, phase timers, packet traces, exporters.
+"""Observability layer: metrics, phase timers, run events, packet traces.
 
 The subsystem is dark by default — a module-level no-op registry absorbs
 all instrumentation until :func:`enable` is called (or the process starts
 with ``REPRO_TELEMETRY=1``), so the simulation and accounting code paths
-it watches stay bit-identical and effectively free when unobserved.
+it watches stay bit-identical and effectively free when unobserved.  That
+one switch turns on metrics, phase spans and the run-event stream
+together.
 
 Typical use::
 

@@ -11,9 +11,10 @@ is exactly what a remote worker will speak over a transport instead of a
 
 Design mirrors :mod:`repro.obs.metrics`:
 
-* **dark by default** — :func:`emit` returns immediately while events are
-  disabled, so instrumented hot paths pay one module-global bool read;
-  enable with :func:`enable` or ``REPRO_EVENTS=1`` in the environment;
+* **dark by default** — events have no switch of their own: they ride
+  the telemetry flag of :mod:`repro.obs.metrics` (:func:`repro.obs.enable`
+  or ``REPRO_TELEMETRY=1``), and :func:`emit` returns immediately while
+  it is down, so instrumented hot paths pay one module-global read;
 * **two delivery paths** with different guarantees:
 
   - the **durable** path: events append to the process-local
@@ -48,10 +49,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-_TRUE_VALUES = ("1", "true", "yes", "on")
-
-#: Environment variable that enables the event stream at import time.
-ENV_VAR = "REPRO_EVENTS"
+from repro.obs import metrics as _metrics
 
 #: A shard is a straggler when its duration exceeds factor x median.
 DEFAULT_STRAGGLER_FACTOR = 4.0
@@ -83,12 +81,6 @@ EVENT_KINDS = frozenset({
 #: File names of a durable run record inside its run directory.
 MANIFEST_FILE = "manifest.json"
 EVENTS_FILE = "events.jsonl"
-
-
-def env_enabled(environ: Optional[Dict[str, str]] = None) -> bool:
-    """Whether *environ* (default ``os.environ``) asks for run events."""
-    environ = os.environ if environ is None else environ
-    return str(environ.get(ENV_VAR, "")).strip().lower() in _TRUE_VALUES
 
 
 @dataclass(frozen=True)
@@ -130,26 +122,9 @@ class EventLog:
 
 
 _LOG = EventLog()
-_ENABLED = False
 _LIVE_QUEUE = None                      # mp queue, set in worker processes
 _LIVE_CONSUMER: Optional[Callable] = None  # in-process callback (parent)
 _CURRENT_SHARD: Optional[int] = None
-
-
-def enable() -> None:
-    """Switch the run-event stream on for the whole process."""
-    global _ENABLED
-    _ENABLED = True
-
-
-def disable() -> None:
-    """Switch events off; recorded events are kept until :func:`clear_events`."""
-    global _ENABLED
-    _ENABLED = False
-
-
-def enabled() -> bool:
-    return _ENABLED
 
 
 def event_log() -> EventLog:
@@ -230,8 +205,8 @@ def reset_worker(live_queue=None) -> None:
     A forked child inherits the parent's log, consumer callback and shard
     tag; none of those belong to the worker — the log would double-fold,
     and the consumer would render to the parent's terminal from the wrong
-    process.  The enabled flag is deliberately kept (fork inherits it;
-    spawn initializers call :func:`enable` explicitly).
+    process.  The telemetry flag that gates events is not touched (fork
+    inherits it; the spawn initializer sets it explicitly).
     """
     global _LIVE_CONSUMER
     _LOG.clear()
@@ -242,13 +217,13 @@ def reset_worker(live_queue=None) -> None:
 
 def emit(kind: str, shard: Optional[int] = None, durable: bool = True,
          **data) -> Optional[RunEvent]:
-    """Emit one event; a no-op returning None while events are disabled.
+    """Emit one event; a no-op returning None while telemetry is off.
 
     *shard* defaults to the worker's current shard tag.  ``durable=False``
     sends the event down the live path only (used for extra time-based
     heartbeats that would make the durable log nondeterministic).
     """
-    if not _ENABLED:
+    if not _metrics._ENABLED:
         return None
     if kind not in EVENT_KINDS:
         raise ValueError(f"unknown run-event kind {kind!r}")
@@ -426,7 +401,3 @@ def read_run(run_dir: str) -> Dict:
                 if line:
                     loaded.append(event_from_dict(json.loads(line)))
     return {"manifest": manifest, "events": loaded}
-
-
-if env_enabled():  # pragma: no cover - exercised via subprocess in CI
-    enable()

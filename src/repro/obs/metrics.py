@@ -15,7 +15,9 @@ classic null-object pattern:
 
 Telemetry is switched on with :func:`enable` (programmatic) or by setting
 ``REPRO_TELEMETRY=1`` in the environment before ``repro.obs`` is first
-imported.
+imported.  It is the one observability switch: the same flag gates the
+phase spans of :mod:`repro.obs.tracing` and the run-event stream of
+:mod:`repro.obs.events`.
 
 Metrics are identified by a name plus optional string tags, e.g.
 ``metrics().counter("protocol.messages", protocol="path-vector")``; the
@@ -289,7 +291,7 @@ _ENABLED = False
 
 
 def enable() -> None:
-    """Switch telemetry on for the whole process."""
+    """Switch telemetry (metrics, spans and run events) on process-wide."""
     global _ENABLED
     _ENABLED = True
 

@@ -6,9 +6,8 @@ Two consumers of :mod:`repro.obs.events` live here:
   the controlling terminal (shards done/total, pairs/sec, ETA, per-worker
   activity) redrawn in place as events arrive from the evaluation.  It is
   strictly TTY-bound: :func:`should_show_progress` gates it on the stream
-  being a terminal, the ``REPRO_NO_PROGRESS`` environment override, and
-  the CLI's ``--progress``/``--quiet``/``--json`` flags, so CI logs and
-  piped output never receive control characters.
+  being a terminal and the CLI's ``--progress``/``--quiet``/``--json``
+  flags, so CI logs and piped output never receive control characters.
 
 * :func:`render_run_report` — the **post-hoc** view: given a recorded
   run (manifest + event log, see :func:`repro.obs.events.read_run`), it
@@ -19,17 +18,11 @@ Two consumers of :mod:`repro.obs.events` live here:
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from typing import Dict, List, Optional, TextIO
 
 from repro.obs import events as _events
-
-_TRUE_VALUES = ("1", "true", "yes", "on")
-
-#: Environment variable that unconditionally suppresses live progress.
-NO_PROGRESS_ENV = "REPRO_NO_PROGRESS"
 
 #: Minimum seconds between redraws (the renderer is event-driven but
 #: rate-limited, so a hot event stream cannot saturate the terminal).
@@ -38,18 +31,14 @@ REDRAW_INTERVAL_S = 0.1
 
 def should_show_progress(progress: bool = False, quiet: bool = False,
                          json_mode: bool = False,
-                         stream: Optional[TextIO] = None,
-                         environ: Optional[Dict[str, str]] = None) -> bool:
+                         stream: Optional[TextIO] = None) -> bool:
     """Decide whether to render live progress on *stream*.
 
-    Precedence: ``REPRO_NO_PROGRESS`` and ``--quiet`` always win (CI can
-    kill control characters even against an explicit ``--progress``);
-    ``--json`` implies quiet; an explicit ``--progress`` then forces the
-    renderer on; otherwise progress appears only on a real TTY.
+    Precedence: ``--quiet`` always wins, even against an explicit
+    ``--progress``; ``--json`` implies quiet; an explicit ``--progress``
+    then forces the renderer on; otherwise progress appears only on a
+    real TTY.
     """
-    environ = os.environ if environ is None else environ
-    if str(environ.get(NO_PROGRESS_ENV, "")).strip().lower() in _TRUE_VALUES:
-        return False
     if quiet or json_mode:
         return False
     if progress:

@@ -66,8 +66,7 @@ def span(name: str, **tags: str):
     parent = _span_stack[-1] if _span_stack else None
     path = f"{parent}.{name}" if parent else name
     _span_stack.append(path)
-    if _events.enabled():
-        _events.emit("phase_entered", phase=path)
+    _events.emit("phase_entered", phase=path)
     start = time.perf_counter()
     try:
         yield path
@@ -80,8 +79,7 @@ def span(name: str, **tags: str):
         )
         _spans.append(record)
         _metrics.metrics().histogram("span.seconds", span=path).observe(duration)
-        if _events.enabled():
-            _events.emit("phase_exited", phase=path, duration_s=duration)
+        _events.emit("phase_exited", phase=path, duration_s=duration)
 
 
 def spans() -> List[SpanRecord]:

@@ -44,15 +44,6 @@ ineligible, the key embedding is not exactly additive, or numpy is
 absent, :class:`~repro.paths.store.TreeStore` fills run the kernel
 instead — results are bit-identical either way, which the golden-trace
 harness checks with every store tree substituted from this engine.
-
-Shared memory
--------------
-
-:func:`export_shared` / :func:`attach_shared` move the plan's int arrays
-(``indptr``, ``indices``, ``edge_keys``) to spawn-path parallel workers
-over :mod:`repro.shared_arrays`, so workers map the parent's arrays
-zero-copy instead of re-materializing them per process.  See
-``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
@@ -60,7 +51,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro import shared_arrays
 from repro.algebra.base import RoutingAlgebra
 from repro.obs.metrics import enabled as _telemetry_enabled
 from repro.obs.metrics import metrics as _telemetry
@@ -85,9 +75,6 @@ _CSR_KEY = "batch-csr"
 
 #: ``compiled.scratch`` key prefix of per-algebra batch plans.
 _PLAN_KEY = "batch-plan"
-
-#: ``compiled.scratch`` key pinning attached shared-memory handles alive.
-_SHARED_KEY = "batch-shared-handles"
 
 
 @dataclass(frozen=True)
@@ -467,59 +454,3 @@ def _emit_batch_stats(stats: BatchStats) -> None:
     registry.counter("path_engine.batch_levels").inc(stats.levels)
     registry.counter("path_engine.batch_relaxations").inc(stats.relaxations)
     registry.counter("path_engine.batch_improvements").inc(stats.improvements)
-
-
-# ---------------------------------------------------------------------------
-# zero-copy sharing of the plan's int arrays across worker processes
-# ---------------------------------------------------------------------------
-
-
-def export_shared(compiled: CompiledGraph, algebra: RoutingAlgebra) -> Tuple:
-    """Export the batch plan's int arrays through :mod:`repro.shared_arrays`.
-
-    Returns ``(handles, descriptor)``; the caller owns the handles and
-    closes them with :func:`repro.shared_arrays.close` (``unlink=True``)
-    once every consumer is done.  ``(None, None)`` when the instance has
-    no batch plan or shared memory is unavailable.
-    """
-    plan = batch_plan(compiled, algebra)
-    if plan is None:
-        return None, None
-    handles, arrays = shared_arrays.export({
-        "indptr": plan.indptr, "indices": plan.indices,
-        "edge_keys": plan.edge_keys})
-    if handles is None:
-        return None, None
-    return handles, {"length": plan.length,
-                     "identity_decode": plan.identity_decode,
-                     "arrays": arrays}
-
-
-def attach_shared(compiled: CompiledGraph, algebra: RoutingAlgebra,
-                  descriptor) -> bool:
-    """Seed *compiled*'s batch plan for *algebra* from exported arrays.
-
-    The worker's sweeps then read the parent's arrays zero-copy; the
-    handles are pinned in ``compiled.scratch`` so the buffers outlive
-    every view.  Returns False (attaching nothing) on any failure — the
-    worker then builds its own arrays, which is merely slower.
-    """
-    if not descriptor:
-        return False
-    max_hops = max(1, len(compiled.nodes) - 1)
-    try:
-        decode = algebra.integer_key_weight_fn(max_hops)
-    except Exception:
-        return False
-    attached = shared_arrays.attach(descriptor["arrays"])
-    if attached is None:
-        return False
-    handles, arrays = attached
-    plan = BatchPlan(length=descriptor["length"], max_hops=max_hops,
-                     indptr=arrays["indptr"], indices=arrays["indices"],
-                     edge_keys=arrays["edge_keys"], decode=decode,
-                     identity_decode=descriptor["identity_decode"])
-    compiled.scratch[_SHARED_KEY] = handles
-    compiled.scratch[(_PLAN_KEY, algebra)] = plan
-    compiled.scratch[_CSR_KEY] = (plan.indptr, plan.indices)
-    return True

@@ -58,7 +58,8 @@ per-pair histograms need hop-level fidelity only the reference loop has.
 
 Spawn workers attach the parent's compiled tables zero-copy over
 :mod:`repro.shared_arrays` (:func:`export_shared_query` /
-:func:`attach_shared_query`), like :mod:`repro.paths.batch`.
+:func:`attach_shared_query`): compiling them costs far more per worker
+than starting one.
 """
 
 from __future__ import annotations

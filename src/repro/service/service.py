@@ -203,7 +203,6 @@ class RoutingService:
             self.queries += len(pairs)
             if _telemetry_enabled():
                 _telemetry().counter("service.queries").inc(len(pairs))
-            if _events.enabled():
                 _events.emit("service_query", pairs=len(pairs),
                              scheme=scheme.name,
                              delivered=sum(a.delivered for a in answers))
@@ -347,7 +346,6 @@ class RoutingService:
                 invalidation.kept)
             registry.counter("service.invalidation.dropped").inc(
                 invalidation.dropped)
-        if _events.enabled():
             _events.emit("service_update", op=op,
                          kept=invalidation.kept,
                          dropped=invalidation.dropped,

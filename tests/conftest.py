@@ -1,4 +1,4 @@
-"""Shared fixtures: run every stored tree through one chosen path engine.
+"""Shared fixtures: substitute a path engine or a pool start method.
 
 No option selects a path engine; the code picks one.  Tests that compare
 engines substitute the engine in-process instead, at the two points
@@ -6,12 +6,20 @@ where a :class:`~repro.paths.store.TreeStore` builds trees: bulk fills
 of at least ``BATCH_MIN_SOURCES`` sources go to
 :func:`~repro.paths.batch.batch_trees`, and everything else to
 :func:`~repro.paths.dijkstra.preferred_path_tree` (the kernel).
+
+No option selects the pool start method either: the parallel engine
+uses ``fork`` where the platform has it.  Tests that exercise the spawn
+path substitute :data:`repro.core.parallel.START_METHOD` in-process.
 """
 
 import math
+import multiprocessing
+import os
 
 import pytest
 
+import repro
+from repro.core import parallel
 from repro.graphs.weighting import WEIGHT_ATTR
 from repro.paths import batch, shortest_widest, store
 from repro.paths.dijkstra import PathTree, preferred_path_tree, reference_tree
@@ -90,3 +98,32 @@ def force_path_engine(monkeypatch):
         return calls
 
     return force
+
+
+@pytest.fixture
+def force_start_method(monkeypatch):
+    """``force(method)`` makes the parallel pool start workers by *method*.
+
+    Spawned children rebuild ``sys.path`` from the parent's; the
+    ``PYTHONPATH`` entry for the in-tree package keeps them importable
+    from an unusual launcher too.
+    """
+
+    def force(method):
+        if method not in multiprocessing.get_all_start_methods():
+            raise ValueError(f"unknown start method {method!r}")
+        monkeypatch.setattr(parallel, "START_METHOD", method)
+        if method == "spawn":
+            src_dir = os.path.dirname(os.path.dirname(
+                os.path.abspath(repro.__file__)))
+            existing = os.environ.get("PYTHONPATH")
+            monkeypatch.setenv("PYTHONPATH", src_dir + (
+                os.pathsep + existing if existing else ""))
+
+    return force
+
+
+@pytest.fixture
+def spawn_workers(force_start_method):
+    """Run the test with spawn workers (the platform's non-fork path)."""
+    force_start_method("spawn")

@@ -1,4 +1,4 @@
-"""Sharded parallel evaluation: shard math, merge exactness, fallbacks."""
+"""Sharded parallel evaluation: shard math, merge exactness, start methods."""
 
 import random
 
@@ -9,6 +9,7 @@ from repro.algebra.catalog import ShortestPath
 from repro.core.compiler import build_scheme
 from repro.core.parallel import (
     evaluate_sharded,
+    last_run_info,
     shard_pairs_by_source,
 )
 from repro.core.simulate import (
@@ -181,33 +182,28 @@ class TestEvaluateShardedDirect:
         assert merged.stretch == direct.stretch
 
 
-class TestStartMethodResolution:
-    def test_invalid_env_value_warns_once_and_defaults(self, monkeypatch):
+class TestStartMethod:
+    def test_pool_forks_where_the_platform_can(self):
         import multiprocessing
-        import warnings
 
-        from repro.core import parallel
-        from repro.core.parallel import START_METHOD_ENV, _start_method
-
-        monkeypatch.setenv(START_METHOD_ENV, "hyperthread")
-        monkeypatch.setattr(parallel, "_WARNED_START_METHODS", set())
+        _, graph, algebra, scheme = _golden_instances()[0]
+        evaluate_scheme(graph, algebra, scheme,
+                        options=EvaluationOptions(workers=2))
         expected = ("fork" if "fork" in multiprocessing.get_all_start_methods()
                     else None)
-        with pytest.warns(RuntimeWarning, match="hyperthread"):
-            assert _start_method() == expected
-        # one warning per bad value per process: the repeat is silent
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert _start_method() == expected
+        assert last_run_info().start_method == expected
 
-    def test_valid_env_value_does_not_warn(self, monkeypatch):
-        import warnings
 
-        from repro.core import parallel
-        from repro.core.parallel import START_METHOD_ENV, _start_method
+# Spawn cells: the classes above that start a pool, run again with spawn
+# workers.  The oracle-slicing twin is
+# test_parallel_spawn.py::TestSpawnOracleSlicing.
 
-        monkeypatch.setenv(START_METHOD_ENV, "spawn")
-        monkeypatch.setattr(parallel, "_WARNED_START_METHODS", set())
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert _start_method() == "spawn"
+
+@pytest.mark.usefixtures("spawn_workers")
+class TestShardMergeEquivalenceSpawn(TestShardMergeEquivalence):
+    """``TestShardMergeEquivalence`` with spawn workers."""
+
+
+@pytest.mark.usefixtures("spawn_workers")
+class TestTracesDroppedMergeSpawn(TestTracesDroppedMerge):
+    """``TestTracesDroppedMerge`` with spawn workers."""

@@ -15,7 +15,6 @@ import pytest
 from repro.algebra.catalog import ShortestPath
 from repro.core.compiler import build_scheme
 from repro.core.parallel import (
-    START_METHOD_ENV,
     evaluate_sharded,
     last_fallback,
     last_run_info,
@@ -43,7 +42,6 @@ def clean_telemetry():
         telemetry_disable()
         telemetry_reset()
         obs_tracing.clear_spans()
-        obs_events.disable()
         obs_events.clear_events()
         obs_events.set_live_consumer(None)
         obs_events.set_current_shard(None)
@@ -72,7 +70,6 @@ class TestDurableEventLog:
     def test_every_shard_dispatched_heartbeat_completed(self):
         graph, algebra, scheme = _instance()
         telemetry_enable()
-        obs_events.enable()
         merged, pairs = _run_parallel(graph, algebra, scheme, shard_size=60)
         assert merged.routed == len(pairs)
 
@@ -102,7 +99,6 @@ class TestDurableEventLog:
     def test_shard_completed_carries_timings(self):
         graph, algebra, scheme = _instance()
         telemetry_enable()
-        obs_events.enable()
         _run_parallel(graph, algebra, scheme, shard_size=60)
         for event in obs_events.events():
             if event.kind == "shard_completed":
@@ -113,7 +109,6 @@ class TestDurableEventLog:
     def test_run_info_shard_table(self):
         graph, algebra, scheme = _instance()
         telemetry_enable()
-        obs_events.enable()
         merged, pairs = _run_parallel(graph, algebra, scheme, shard_size=60)
         run = last_run_info()
         assert sum(info["pairs"] for info in run.shards) == len(pairs)
@@ -127,7 +122,6 @@ class TestDurableEventLog:
     def test_merged_result_is_scrubbed_of_shard_fields(self):
         graph, algebra, scheme = _instance()
         telemetry_enable()
-        obs_events.enable()
         merged, _pairs = _run_parallel(graph, algebra, scheme, shard_size=60)
         assert merged.events is None
         assert merged.shard_id is None
@@ -143,7 +137,6 @@ class TestStragglerMetric:
         monkeypatch.setattr(obs_events, "DEFAULT_STRAGGLER_MIN_S", 0.0)
         graph, algebra, scheme = _instance()
         telemetry_enable()
-        obs_events.enable()
         _run_parallel(graph, algebra, scheme, shard_size=60)
         run = last_run_info()
         flagged = run.stragglers["shards"]
@@ -161,7 +154,6 @@ class TestStragglerMetric:
         monkeypatch.setattr(obs_events, "DEFAULT_STRAGGLER_FACTOR", 0.0)
         graph, algebra, scheme = _instance()
         telemetry_enable()
-        obs_events.enable()
         _run_parallel(graph, algebra, scheme, shard_size=60)
         run = last_run_info()
         assert run.stragglers["min_s"] == obs_events.DEFAULT_STRAGGLER_MIN_S
@@ -174,7 +166,6 @@ class TestStragglerMetric:
     def test_default_factor_flags_none_on_balanced_shards(self):
         graph, algebra, scheme = _instance()
         telemetry_enable()
-        obs_events.enable()
         _run_parallel(graph, algebra, scheme, shard_size=60)
         run = last_run_info()
         assert run.stragglers["factor"] == obs_events.DEFAULT_STRAGGLER_FACTOR
@@ -183,18 +174,14 @@ class TestStragglerMetric:
         assert shard_seconds.count == len(run.shards)
 
 
+@pytest.mark.usefixtures("spawn_workers")
 class TestFallbackCause:
     """Pickling only happens on the spawn path, so force it."""
-
-    @pytest.fixture(autouse=True)
-    def force_spawn(self, monkeypatch):
-        monkeypatch.setenv(START_METHOD_ENV, "spawn")
 
     def test_unpicklable_scheme_reports_cause(self):
         graph, algebra, scheme = _instance(seed=9)
         scheme._unpicklable = lambda: None
         telemetry_enable()
-        obs_events.enable()
         parallel = evaluate_scheme(
             graph, algebra, scheme, options=EvaluationOptions(workers=2))
         fallback = last_fallback()
@@ -232,7 +219,6 @@ class TestReportInvariance:
         baseline = evaluate_scheme(
             graph, algebra, scheme, options=EvaluationOptions(workers=2))
         telemetry_enable()
-        obs_events.enable()
         with_events = evaluate_scheme(
             graph, algebra, scheme, options=EvaluationOptions(workers=2))
         assert with_events == baseline

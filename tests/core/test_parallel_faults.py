@@ -1,12 +1,13 @@
-"""Fault tolerance of the sharded parallel engine (fork path).
+"""Fault tolerance of the sharded parallel engine, fork and spawn.
 
 The contract under test: a worker death or shard timeout costs only the
 affected shards — completed results are salvaged, the pool is rebuilt,
 lost shards are re-issued with bounded retries — and the merged report
 stays bit-identical to an unfaulted serial run.  Faults are injected
 deterministically through ``REPRO_FAULT_SPEC`` (see
-:func:`repro.core.simulate.parse_fault_spec`); the spawn-path twin of
-the kill test lives in ``test_parallel_spawn.py``.
+:func:`repro.core.simulate.parse_fault_spec`).  The classes that start a
+pool run on the default start method and again, as ``...Spawn`` cells,
+with spawn workers.
 """
 
 import random
@@ -20,6 +21,7 @@ from repro.core.parallel import (
     SHARD_TIMEOUT_ENV,
     evaluate_sharded,
     last_run_info,
+    shard_timeout,
 )
 from repro.core.simulate import (
     DEFAULT_HANG_SECONDS,
@@ -52,7 +54,6 @@ def clean_state(monkeypatch):
         telemetry_disable()
         telemetry_reset()
         obs_tracing.clear_spans()
-        obs_events.disable()
         obs_events.clear_events()
         oracle_cache.clear()
 
@@ -103,6 +104,26 @@ class TestParseFaultSpec:
             del os.environ[FAULT_SPEC_ENV]
 
 
+class TestShardTimeoutSpec:
+    @pytest.mark.parametrize("raw, expected", [
+        (None, None), ("", None), ("0", None), ("0.75", 0.75), (" 2 ", 2.0),
+    ])
+    def test_unset_zero_and_positive_values(self, raw, expected):
+        environ = {} if raw is None else {SHARD_TIMEOUT_ENV: raw}
+        assert shard_timeout(environ) == expected
+
+    @pytest.mark.parametrize("bad", ["30s", "-1", "nan", "soon"])
+    def test_malformed_or_negative_value_fails_loudly(self, bad):
+        with pytest.raises(ValueError, match=SHARD_TIMEOUT_ENV):
+            shard_timeout({SHARD_TIMEOUT_ENV: bad})
+
+    def test_parallel_run_rejects_a_malformed_timeout(self, monkeypatch):
+        graph, algebra, scheme = _instance()
+        monkeypatch.setenv(SHARD_TIMEOUT_ENV, "30s")
+        with pytest.raises(ValueError, match=SHARD_TIMEOUT_ENV):
+            _run_faulted(graph, algebra, scheme)
+
+
 def _instance(n=16, seed=1):
     algebra = ShortestPath()
     graph = erdos_renyi(n, rng=random.Random(seed))
@@ -126,7 +147,6 @@ class TestKillRecovery:
         serial = evaluate_scheme(graph, algebra, scheme)
         monkeypatch.setenv(FAULT_SPEC_ENV, "kill:shard=2:once")
         telemetry_enable()
-        obs_events.enable()
         report, pairs = _run_faulted(graph, algebra, scheme)
         assert report == serial
         run = last_run_info()
@@ -167,7 +187,6 @@ class TestTimeoutRecovery:
         monkeypatch.setenv(FAULT_SPEC_ENV, "hang=30:shard=1:once")
         monkeypatch.setenv(SHARD_TIMEOUT_ENV, "0.75")
         telemetry_enable()
-        obs_events.enable()
         report, _pairs = _run_faulted(graph, algebra, scheme)
         assert report == serial
         run = last_run_info()
@@ -188,7 +207,6 @@ class TestRetryExhaustion:
         monkeypatch.setenv(FAULT_SPEC_ENV, "kill:shard=0")
         monkeypatch.setattr(parallel, "SHARD_RETRIES", 1)
         telemetry_enable()
-        obs_events.enable()
         report, _pairs = _run_faulted(graph, algebra, scheme)
         assert report == serial
         run = last_run_info()
@@ -216,3 +234,22 @@ class TestSerialImmunity:
         baseline = evaluate_scheme(graph, algebra, scheme)
         monkeypatch.setenv(FAULT_SPEC_ENV, "kill:shard=0")
         assert evaluate_scheme(graph, algebra, scheme) == baseline
+
+
+# Spawn cells: the classes above that start a pool, run again with spawn
+# workers.
+
+
+@pytest.mark.usefixtures("spawn_workers")
+class TestKillRecoverySpawn(TestKillRecovery):
+    """``TestKillRecovery`` with spawn workers."""
+
+
+@pytest.mark.usefixtures("spawn_workers")
+class TestTimeoutRecoverySpawn(TestTimeoutRecovery):
+    """``TestTimeoutRecovery`` with spawn workers."""
+
+
+@pytest.mark.usefixtures("spawn_workers")
+class TestRetryExhaustionSpawn(TestRetryExhaustion):
+    """``TestRetryExhaustion`` with spawn workers."""

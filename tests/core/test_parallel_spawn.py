@@ -1,30 +1,23 @@
 """Parallel evaluation under a forced ``spawn`` start method.
 
-Linux defaults to ``fork``, so CI would otherwise never exercise the
-pickle-payload worker path: the spawn initializer, the process-local
+Linux defaults to ``fork``, so the suite would otherwise never exercise
+the pickle-payload worker path: the spawn initializer, the process-local
 lazy oracle (zero builds at startup, per-shard ``ensure_sources``), and
 the fall-back to serial evaluation when worker state cannot be pickled.
-``REPRO_START_METHOD=spawn`` forces that path; CI runs this module under
-the same variable as a dedicated step.
+The ``force_start_method`` fixture forces that path in-process.
 """
 
-import os
 import random
 import subprocess
 import sys
 
 import pytest
 
-import repro
 from repro.algebra.bgp import valley_free_algebra
 from repro.algebra.catalog import ShortestPath
 from repro.core.compiler import build_scheme
-from repro.core.parallel import (
-    START_METHOD_ENV,
-    _start_method,
-    evaluate_sharded,
-    last_run_info,
-)
+from repro.core import parallel
+from repro.core.parallel import evaluate_sharded, last_run_info
 from repro.core.simulate import (
     FAULT_SPEC_ENV,
     EvaluationOptions,
@@ -42,34 +35,21 @@ from repro.obs.metrics import disable as telemetry_disable
 from repro.obs.metrics import enable as telemetry_enable
 from repro.obs.metrics import registry as telemetry_registry
 from repro.obs.metrics import reset as telemetry_reset
-from repro.paths import batch
 
 
 @pytest.fixture(autouse=True)
-def force_spawn(monkeypatch):
-    """Force the spawn start method and make repro importable in children.
-
-    Spawned workers rebuild ``sys.path`` from the parent's, but a
-    belt-and-braces ``PYTHONPATH`` keeps the suite robust when it is run
-    from an installed checkout or an unusual launcher.
-    """
-    monkeypatch.setenv(START_METHOD_ENV, "spawn")
-    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    existing = os.environ.get("PYTHONPATH")
-    monkeypatch.setenv("PYTHONPATH", src_dir + (
-        os.pathsep + existing if existing else ""))
+def force_spawn(spawn_workers):
+    """Every test here runs spawn workers, from clean telemetry."""
     oracle_cache.clear()
     telemetry_disable()
     telemetry_reset()
     obs_tracing.clear_spans()
-    obs_events.disable()
     obs_events.clear_events()
     yield
     oracle_cache.clear()
     telemetry_disable()
     telemetry_reset()
     obs_tracing.clear_spans()
-    obs_events.disable()
     obs_events.clear_events()
 
 
@@ -80,39 +60,20 @@ def _sp_instance(n=16, seed=1):
     return graph, algebra, build_scheme(graph, algebra)
 
 
-def test_env_override_selects_spawn():
-    assert _start_method() == "spawn"
-
-
-@pytest.mark.skipif(not batch.numpy_available(),
-                    reason="numpy not installed (the repro[fast] optional extra)")
-def test_batch_plan_is_exported_to_spawn_workers(monkeypatch):
-    """Worker bulk fills may batch, so the parent exports the batch plan."""
-    graph, algebra, scheme = _sp_instance()
-    descriptors = []
-    real_export = batch.export_shared
-
-    def spy(compiled, plan_algebra):
-        handles, descriptor = real_export(compiled, plan_algebra)
-        descriptors.append(descriptor)
-        return handles, descriptor
-
-    monkeypatch.setattr(batch, "export_shared", spy)
-    serial = evaluate_scheme(graph, algebra, scheme)
-    parallel = evaluate_scheme(
-        graph, algebra, scheme, options=EvaluationOptions(workers=2))
-    assert parallel == serial
-    assert descriptors and None not in descriptors
+def test_fixture_forces_spawn():
+    assert parallel.START_METHOD == "spawn"
 
 
 _SPAWN_RUN = """
 import random
 from repro.algebra.catalog import ShortestPath
+from repro.core import parallel
 from repro.core.compiler import build_scheme
 from repro.core.simulate import EvaluationOptions, evaluate_scheme
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.weighting import assign_random_weights
 
+parallel.START_METHOD = "spawn"
 algebra = ShortestPath()
 graph = erdos_renyi(16, rng=random.Random(1))
 assign_random_weights(graph, algebra, rng=random.Random(2))
@@ -177,6 +138,7 @@ class TestSpawnOracleSlicing:
         merged = evaluate_sharded(graph, algebra, scheme, oracle, pairs,
                                   workers=2, shard_size=4)
         assert merged.routed == len(pairs)
+        assert last_run_info().start_method == "spawn"
         built = telemetry_registry().counter("oracle.trees_built").value
         assert built == 3
         # The parent's oracle is untouched: spawn workers rebuilt their own.
@@ -218,7 +180,6 @@ class TestSpawnWorkerLossRecovery:
         pairs = [(s, t) for s in graph.nodes() for t in graph.nodes()
                  if s != t]
         telemetry_enable()
-        obs_events.enable()
         merged = evaluate_sharded(graph, algebra, scheme, oracle, pairs,
                                   workers=1, shard_size=40)
         assert finalize_report(scheme, merged) == serial
@@ -271,7 +232,6 @@ class TestSpawnEventFoldDeterminism:
         pairs = [(s, t) for s in graph.nodes() for t in graph.nodes()
                  if s != t]
         telemetry_enable()
-        obs_events.enable()
         try:
             merged = evaluate_sharded(graph, algebra, scheme, oracle, pairs,
                                       workers=2, shard_size=shard_size)
@@ -279,7 +239,6 @@ class TestSpawnEventFoldDeterminism:
             spans = [record.path for record in obs_tracing.spans()]
         finally:
             telemetry_disable()
-            obs_events.disable()
             obs_events.clear_events()
         skeleton = [
             (event.kind, event.shard,

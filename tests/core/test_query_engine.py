@@ -9,17 +9,14 @@ algebras) and the spawn-path shared-memory attach.
 """
 
 import gc
-import os
 import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro
 from repro import shared_arrays
 from repro.algebra.catalog import MinHop, ShortestPath, UsablePath, WidestPath
-from repro.core.parallel import START_METHOD_ENV
 from repro.core.simulate import (
     EvaluationOptions,
     evaluate_scheme,
@@ -269,13 +266,7 @@ class TestSharedQueryTables:
             shared_arrays.close(handles, unlink=True)
 
     @needs_numpy
-    def test_spawn_workers_match_serial_reference(self, monkeypatch):
-        monkeypatch.setenv(START_METHOD_ENV, "spawn")
-        src_dir = os.path.dirname(
-            os.path.dirname(os.path.abspath(repro.__file__)))
-        existing = os.environ.get("PYTHONPATH")
-        monkeypatch.setenv("PYTHONPATH", src_dir + (
-            os.pathsep + existing if existing else ""))
+    def test_spawn_workers_match_serial_reference(self, spawn_workers):
         algebra = ShortestPath(max_weight=9)
         graph = erdos_renyi(30, rng=random.Random(31))
         assign_random_weights(graph, algebra, rng=random.Random(32))

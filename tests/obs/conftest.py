@@ -11,7 +11,6 @@ def _clean():
     disable()
     reset()
     obs_tracing.clear_spans()
-    obs_events.disable()
     obs_events.clear_events()
     obs_events.set_live_consumer(None)
     obs_events.set_current_shard(None)

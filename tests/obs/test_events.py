@@ -1,25 +1,27 @@
 """Unit tests for the run-event stream (repro.obs.events)."""
 
 import io
+import random
 
 import pytest
 
 from repro.obs import events
+from repro.obs.metrics import enable, enabled
 
 
 class TestEmitGating:
     def test_disabled_emit_is_a_noop(self):
-        assert not events.enabled()
+        assert not enabled()
         assert events.emit("run_started", command="x") is None
         assert events.events() == []
 
     def test_disabled_emit_skips_kind_validation(self):
         # The disabled path must do nothing but the flag test — not even
-        # validate — so the hot loop pays a single bool read.
+        # validate — so the hot loop pays a single flag read.
         assert events.emit("definitely_not_a_kind") is None
 
     def test_enabled_emit_appends(self):
-        events.enable()
+        enable()
         event = events.emit("run_started", command="evaluate", pairs_total=10)
         assert event is not None
         assert event.kind == "run_started"
@@ -27,20 +29,35 @@ class TestEmitGating:
         assert events.events() == [event]
 
     def test_enabled_emit_rejects_unknown_kind(self):
-        events.enable()
+        enable()
         with pytest.raises(ValueError, match="unknown run-event kind"):
             events.emit("made_up_kind")
 
-    def test_env_enabled(self):
-        assert events.env_enabled({events.ENV_VAR: "1"})
-        assert events.env_enabled({events.ENV_VAR: "true"})
-        assert not events.env_enabled({events.ENV_VAR: "0"})
-        assert not events.env_enabled({})
+    def test_telemetry_switch_alone_records_run_events(self):
+        """Events have no switch of their own: ``obs.enable()`` is it."""
+        import repro.obs as obs
+        from repro.algebra.catalog import ShortestPath
+        from repro.core.simulate import evaluate_scheme, oracle_cache
+        from repro.core.compiler import build_scheme
+        from repro.graphs.generators import erdos_renyi
+        from repro.graphs.weighting import assign_random_weights
+
+        algebra = ShortestPath()
+        graph = erdos_renyi(10, rng=random.Random(3))
+        assign_random_weights(graph, algebra, rng=random.Random(4))
+        obs.enable()
+        try:
+            evaluate_scheme(graph, algebra, build_scheme(graph, algebra))
+        finally:
+            oracle_cache.clear()
+        kinds = {event.kind for event in events.events()}
+        assert {"phase_entered", "phase_exited", "oracle_trees_built",
+                "shard_heartbeat"} <= kinds
 
 
 class TestShardTagging:
     def test_current_shard_tags_events(self):
-        events.enable()
+        enable()
         events.set_current_shard(3)
         tagged = events.emit("shard_heartbeat", pairs_done=1, pairs_total=2)
         assert tagged.shard == 3
@@ -53,7 +70,7 @@ class TestShardTagging:
 
 class TestLogHandoff:
     def test_swap_log_detaches_buffer(self):
-        events.enable()
+        enable()
         events.emit("shard_heartbeat", pairs_done=0, pairs_total=4)
         detached = events.swap_log()
         assert len(detached) == 1
@@ -66,7 +83,7 @@ class TestLogHandoff:
             "shard_completed", "shard_heartbeat"]
 
     def test_reset_worker_clears_inherited_state(self):
-        events.enable()
+        enable()
         events.set_current_shard(5)
         events.set_live_consumer(lambda event: None)
         events.emit("shard_heartbeat", pairs_done=1, pairs_total=1)
@@ -74,12 +91,12 @@ class TestLogHandoff:
         assert events.events() == []
         assert events.current_shard() is None
         assert events.live_consumer() is None
-        assert events.enabled()  # the flag survives (fork inherits it)
+        assert enabled()  # the flag survives (fork inherits it)
 
 
 class TestLivePath:
     def test_live_consumer_sees_durable_and_live_events(self):
-        events.enable()
+        enable()
         seen = []
         events.set_live_consumer(seen.append)
         events.emit("shard_heartbeat", pairs_done=1, pairs_total=4)
@@ -90,7 +107,7 @@ class TestLivePath:
         assert [e.data["pairs_done"] for e in events.events()] == [1]
 
     def test_broken_consumer_never_raises(self):
-        events.enable()
+        enable()
 
         def explode(event):
             raise RuntimeError("renderer died")
@@ -103,7 +120,7 @@ class TestLivePath:
             def put_nowait(self, event):
                 raise RuntimeError("queue full")
 
-        events.enable()
+        enable()
         events.set_live_queue(FullQueue())
         try:
             assert events.emit("run_started") is not None
@@ -134,14 +151,14 @@ class TestStragglers:
 
 class TestCodecAndPersistence:
     def test_event_dict_roundtrip(self):
-        events.enable()
+        enable()
         original = events.emit("shard_completed", shard=2, pairs=12,
                                duration_s=0.5, routed=12)
         restored = events.event_from_dict(events.event_to_dict(original))
         assert restored == original
 
     def test_write_and_read_run(self, tmp_path):
-        events.enable()
+        enable()
         events.emit("run_started", command="evaluate", pairs_total=4)
         events.emit("shard_heartbeat", shard=0, pairs_done=0, pairs_total=4)
         events.emit("run_finished", duration_s=0.1)

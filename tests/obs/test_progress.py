@@ -19,34 +19,23 @@ def _event(kind, shard=None, pid=1000, **data):
 
 class TestShouldShowProgress:
     def test_defaults_to_tty_detection(self):
-        assert progress.should_show_progress(stream=_Tty(), environ={})
-        assert not progress.should_show_progress(stream=io.StringIO(),
-                                                 environ={})
-        assert not progress.should_show_progress(stream=None, environ={})
+        assert progress.should_show_progress(stream=_Tty())
+        assert not progress.should_show_progress(stream=io.StringIO())
+        assert not progress.should_show_progress(stream=None)
 
     def test_explicit_progress_forces_on_without_tty(self):
         assert progress.should_show_progress(progress=True,
-                                             stream=io.StringIO(), environ={})
+                                             stream=io.StringIO())
 
     def test_quiet_beats_progress(self):
         assert not progress.should_show_progress(progress=True, quiet=True,
-                                                 stream=_Tty(), environ={})
+                                                 stream=_Tty())
 
     def test_json_implies_quiet(self):
         assert not progress.should_show_progress(json_mode=True,
-                                                 stream=_Tty(), environ={})
+                                                 stream=_Tty())
         assert not progress.should_show_progress(progress=True, json_mode=True,
-                                                 stream=_Tty(), environ={})
-
-    def test_env_override_beats_everything(self):
-        environ = {progress.NO_PROGRESS_ENV: "1"}
-        assert not progress.should_show_progress(progress=True, stream=_Tty(),
-                                                 environ=environ)
-        assert not progress.should_show_progress(stream=_Tty(),
-                                                 environ=environ)
-        # An unset/falsy value does not suppress.
-        assert progress.should_show_progress(
-            stream=_Tty(), environ={progress.NO_PROGRESS_ENV: "0"})
+                                                 stream=_Tty())
 
 
 class TestProgressRenderer:

@@ -158,6 +158,16 @@ class TestCli:
         assert "counters" in payload["metrics"]
         assert "path-vector" in payload["protocols"]
 
+    def test_profile_spans_each_protocol(self, capsys):
+        assert main(["profile", "shortest-path", "--n", "12"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        ran = sorted(name for name, summary in payload["protocols"].items()
+                     if not str(summary).startswith("skipped"))
+        assert ran == ["distance-vector", "link-state", "path-vector"]
+        spans = [phase for phase in payload["phases"]
+                 if phase["path"] == "protocol"]
+        assert sorted(phase["tags"]["protocol"] for phase in spans) == ran
+
     def test_route_json_flag(self, capsys):
         assert main(["route", "widest-path", "--n", "12", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -261,7 +261,6 @@ class TestTelemetry:
 
         graph, algebra = make_instance()
         obs.enable()
-        obs_events.enable()
         try:
             obs.reset_all()
             service = RoutingService(graph, algebra)
@@ -278,7 +277,6 @@ class TestTelemetry:
             assert "service_query" in kinds
             assert "service_update" in kinds
         finally:
-            obs_events.disable()
             obs_events.clear_events()
             obs.disable()
             obs.reset_all()

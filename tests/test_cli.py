@@ -126,13 +126,6 @@ class TestGoldenCommands:
 
 
 class TestRunTelemetryCommands:
-    @pytest.fixture(autouse=True)
-    def no_live_progress(self, monkeypatch):
-        """Keep control characters out of captured CLI output."""
-        from repro.obs.progress import NO_PROGRESS_ENV
-
-        monkeypatch.setenv(NO_PROGRESS_ENV, "1")
-
     def test_evaluate_record_run_then_report(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
         assert main(["evaluate", "shortest-path", "--n", "16",
@@ -167,6 +160,22 @@ class TestRunTelemetryCommands:
         # the default engine fills bulk trees with batch: report "auto"
         assert manifest["engine"]["path_engine"] == "auto"
 
+    def test_pairs_beyond_all_ordered_pairs_are_clamped(self, tmp_path):
+        import json
+
+        from repro.obs import events as obs_events
+
+        run_dir = tmp_path / "run"
+        assert main(["evaluate", "shortest-path", "--n", "6",
+                     "--pairs", "1000", "--record-run", str(run_dir)]) == 0
+        with open(run_dir / "manifest.json") as handle:
+            manifest = json.load(handle)
+        assert manifest["report"]["pairs"] == 6 * 5
+        assert manifest["config"]["pairs"] == 6 * 5
+        started = [event for event in obs_events.read_run(str(run_dir))["events"]
+                   if event.kind == "run_started"]
+        assert [event.data["pairs_total"] for event in started] == [6 * 5]
+
     def test_record_run_leaves_telemetry_disabled(self, tmp_path):
         from repro.obs import events as obs_events
         from repro.obs.metrics import enabled as telemetry_enabled
@@ -174,7 +183,6 @@ class TestRunTelemetryCommands:
         assert main(["evaluate", "shortest-path", "--n", "12",
                      "--record-run", str(tmp_path / "run")]) == 0
         assert not telemetry_enabled()
-        assert not obs_events.enabled()
         assert obs_events.events() == []
 
     def test_report_missing_run_dir(self, tmp_path):

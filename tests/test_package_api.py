@@ -50,6 +50,20 @@ def test_documented_entry_points():
     assert signature.parameters["mode"].default == "auto"
 
 
+def test_environment_variables_are_exactly_three():
+    """The package source names three ``REPRO_*`` variables, no more."""
+    import re
+    from pathlib import Path
+
+    import repro
+
+    names = set()
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        names.update(re.findall(r"\bREPRO_[A-Z][A-Z_]*", path.read_text()))
+    assert names == {"REPRO_TELEMETRY", "REPRO_SHARD_TIMEOUT",
+                     "REPRO_FAULT_SPEC"}
+
+
 def test_version_and_metadata():
     import repro
 
